@@ -166,33 +166,29 @@ def factor(n: int) -> Factorization:
 
 def euler_phi(f: Factorization) -> int:
     """Classical totient: product of p^(e-1) (p-1)."""
-    out = 1
-    for p, e in f.pairs:
-        out *= p ** (e - 1) * (p - 1)
-    return out
+    return phi_a(f, 1)
 
 
 def unitary_phi(f: Factorization) -> int:
     """Unitary totient: product of (p^e - 1)."""
-    out = 1
-    for p, e in f.pairs:
-        out *= p**e - 1
-    return out
+    return _unitary_product(f, -1)
 
 
 def dedekind_psi(f: Factorization) -> int:
     """Product of p^(e-1) (p+1)."""
-    out = 1
-    for p, e in f.pairs:
-        out *= p ** (e - 1) * (p + 1)
-    return out
+    return phi_a(f, -1)
 
 
 def unitary_sigma(f: Factorization) -> int:
     """Unitary divisor sum: product of (p^e + 1)."""
+    return _unitary_product(f, 1)
+
+
+def _unitary_product(f: Factorization, s: int) -> int:
+    """Product of (p^e + s) over the prime powers of f."""
     out = 1
     for p, e in f.pairs:
-        out *= p**e + 1
+        out *= p**e + s
     return out
 
 
@@ -247,22 +243,3 @@ def profile_to_json(pr: ArithProfile) -> dict[str, object]:
         "n1": str(pr.n1),
         "rad": str(pr.rad),
     }
-
-
-# ----- self-check -----
-
-if __name__ == "__main__":
-    assert factor(1).pairs == ()
-    assert factor(12).pairs == ((2, 2), (3, 1))
-    assert factor(97).pairs == ((97, 1),)
-    f12 = factor(12)
-    assert euler_phi(f12) == 4 and unitary_phi(f12) == 6
-    assert dedekind_psi(f12) == 24 and unitary_sigma(f12) == 20
-    assert phi_a(factor(35), 2) == 15
-    pr = profile(f12)
-    assert (pr.n1, pr.rad, pr.omega, pr.big_omega) == (3, 6, 2, 3)
-    big = factor(2**61 - 1)
-    assert big.pairs == ((2**61 - 1, 1),)
-    semi = factor((2**31 - 1) * (2**31 + 11))
-    assert semi.pairs == ((2**31 - 1, 1), (2**31 + 11, 1))
-    print("arith: self-check ok")

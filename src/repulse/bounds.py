@@ -607,53 +607,3 @@ def theorem_check(
         triple_log=tri,
         omega_log=om,
     )
-
-
-if __name__ == "__main__":
-    # delta behaves like 1 + O(log t / t)
-    assert 1.0 < delta(1.0e6) < 1.0001
-    assert delta(100.0) < 1.0 + (3.0 * math.log(100.0) - 7.55957) / 100.0
-    assert EIGHT_EGAMMA * delta(73.0) <= EIGHT_EGAMMA * (
-        1.0 + (3.0 * math.log(73.0) - 7.55957) / 73.0
-    )
-    assert delta_psi(100.0) < delta(100.0)
-    assert eta(1.0e4) >= delta(1.0e4)
-
-    assert delta1(73.0) * 73.0 <= 0.13552
-    assert bool(delta1_check(1000.0))
-
-    # exact 1/p_u scaling and the doubling property at x = e^100
-    b1 = thm21_pi_bound(math.exp(80.0), 1.0)
-    assert thm21_pi_bound(math.exp(80.0), 2.0) == b1 / 2.0
-    r100 = thm21_pi_bound(2.0 * math.exp(100.0), 1.0) / thm21_pi_bound(
-        math.exp(100.0), 1.0
-    )
-    assert 2.0 * 0.97 < r100 < 2.0 * 1.03
-    assert thm21_pi_bound(math.exp(74.0), 1.0, proof_form=True) < thm21_pi_bound(
-        math.exp(74.0), 1.0
-    )
-
-    # loglog(e^(e^2)) = 2 exactly
-    v = pu_upper_eq32(math.exp(74.0), math.exp(math.exp(2.0)))
-    assert abs(v - 2.0 * EIGHT_EGAMMA * delta(74.0)) < 1e-12 * v
-
-    # assembled bound: equality at the smallest composite solution
-    assert assemble_M_exact(factor(15), "phi", 1) == 2
-    assert assemble_M_exact(factor(12), "uphi", 1) == Fraction(13, 6)
-    assert solve_m(factor(15), "phi", 1) == 2
-    assert solve_m(factor(3), "phi", -1) == 1
-    assert solve_m(factor(9), "usigma", 1) == 1
-
-    # theorem_check: small solution, M = 1 prime, and a synthetic violation
-    assert theorem_check(factor(15), 2, "phi", 1).status == "not_applicable"
-    assert theorem_check(factor(1000000007), 1, "phi", -1).status == "pass"
-    assert theorem_check(factor(17), 1, "phi", -1).status == "not_applicable"
-    synthetic = theorem_check(factor(255), 50, "phi", 1, verify_solution=False)
-    assert synthetic.status == "fail"
-
-    # chain margins: the delta chains hold at their cutoffs, the eta
-    # log-chain does not (documented defect surfaced by the grid report)
-    assert chain_margin(73.0, "delta", "log") > 0.0
-    assert chain_margin(95.0, "delta_psi", "log") > 0.0
-    assert chain_margin(72.0, "eta", "log") < 0.0
-    print("bounds self-check OK")

@@ -41,7 +41,6 @@ from .primes import primes_up_to
 DEFAULT_TOLERANCE = 2e-3
 DEFAULT_GRID = 4001
 DEFAULT_SCAN_HI = 1.0e7
-_EXP_CAP = 700.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,7 +66,7 @@ _ALLOWED_NODES = (
 
 
 def _capped_exp(x: float) -> float:
-    return math.exp(min(x, _EXP_CAP))
+    return math.exp(min(x, bounds._EXP_CAP))
 
 
 def _loglog(x: float) -> float:
@@ -437,33 +436,3 @@ def verify_all(
             raise KeyError(f"no catalog entry named {sorted(missing)}")
     done = [verify_constant(e, grid=res, tolerance=tol) for e in selected]
     return sorted(done, key=lambda e: e.name)
-
-
-if __name__ == "__main__":
-    fn = compile_expression("(exp(gamma)/2)*(t + 1/t)/log(t)")
-    assert abs(fn(73.0) - 15.15486704) < 1e-6
-    try:
-        compile_expression("__import__('os')")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expression compiler admitted an import")
-    try:
-        compile_expression("t.bit_length()")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expression compiler admitted an attribute")
-    entry = ConstantCheck(
-        name="probe",
-        kind="closed_form",
-        direction="sup_le",
-        expression="(exp(gamma)/2)*(t + 1/t)/log(t)",
-        domain_lo=math.e,
-        domain_hi=73.0,
-        claimed=15.15486,
-    )
-    done = verify_constant(entry)
-    assert done.verdict == "pass" and done.margin > 0
-    assert abs(done.recomputed_sup - 15.1548670427) < 1e-7
-    print("catalog self-check OK")

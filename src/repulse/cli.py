@@ -21,9 +21,7 @@ import sys
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional
 
-from . import arith, bounds, catalog, largesieve, repulsive, search
-
-TOOL_VERSION = "1.0.0"
+from . import __version__, arith, bounds, catalog, largesieve, repulsive, search
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -71,12 +69,19 @@ def emit_rows(rows: Iterable[dict], fmt: str, out: IO[str]) -> None:
 # ----- argument helpers -----
 
 
+def _float_arg(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_arg(text: str) -> int:
     # accepts plain integers and scientific shorthand like 1e7
     try:
         return int(text)
     except ValueError:
-        value = float(text)
+        value = _float_arg(text)
         if value != int(value):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         return int(value)
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scans, audits, and bound checks for totient-style equations.")
     catalog_version = catalog.load_catalog().version
     parser.add_argument("--version", action="version",
-                        version=f"repulse {TOOL_VERSION} (catalog {catalog_version})")
+                        version=f"repulse {__version__} (catalog {catalog_version})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", help="stream exact-multiplier solutions over a range")
@@ -290,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greedy", help="greedy self-repulsive set up to a cutoff")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--start", type=_int_arg, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_float_arg, required=True)
     _add_common(p)
     p.set_defaults(handler=cmd_greedy)
 
     p = sub.add_parser("sieve", help="survivor count vs. large-sieve bound")
-    p.add_argument("--x", type=float, required=True, help="window length")
-    p.add_argument("--w", type=float, required=True, help="sieve level")
+    p.add_argument("--x", type=_float_arg, required=True, help="window length")
+    p.add_argument("--w", type=_float_arg, required=True, help="sieve level")
     p.add_argument("--set", required=True, metavar="FILE",
                    help="JSON file with keys a, primes, cutoff")
     _add_common(p)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-constants", help="recompute the constant catalog")
     p.add_argument("--entry", action="append", metavar="NAME",
                    help="verify only these entries (repeatable)")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_float_arg, default=None)
     p.add_argument("--grid", type=_int_arg, default=None)
     p.add_argument("--catalog", default=None, metavar="FILE",
                    help="load this catalog JSON instead of the packaged one")
@@ -330,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate one bound function")
     p.add_argument("--fn", choices=sorted(_EVAL_ONE_ARG) + ["thm21", "pu-upper"],
                    required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--p-u", dest="p_u", type=float, default=None)
-    p.add_argument("--theta-u", dest="theta_u", type=float, default=None)
+    p.add_argument("--t", type=_float_arg, default=None)
+    p.add_argument("--x", type=_float_arg, default=None)
+    p.add_argument("--p-u", dest="p_u", type=_float_arg, default=None)
+    p.add_argument("--theta-u", dest="theta_u", type=_float_arg, default=None)
     p.add_argument("--output", default=None, metavar="PATH")
     p.set_defaults(handler=cmd_eval, format="human")
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import primes
 from .arith import factor
+from .bounds import EULER_GAMMA
 from .repulsive import PrimeSet
-
-EULER_GAMMA = 0.577215664901532860606512090082
 
 EXACT_MG_LIMIT = 10_000        # exact rational M_g up to here, floats beyond
 EXACT_TAU_LIMIT = 10_000       # same threshold for sums of tau(m)/m
@@ -347,42 +346,3 @@ def b0_estimate(y: int) -> float:
     s = _tau_ratio_fast(y)
     ly = math.log(y)
     return s - (ly * ly / 2 + 2 * EULER_GAMMA * ly)
-
-
-# ----- self-check -----
-
-if __name__ == "__main__":
-    empty = SieveSystem(start=0, x_len=0, omega_p={})
-    u3 = PrimeSet(a=1, primes=(3,), cutoff=10.0)
-    sys3 = from_prime_set(u3)
-
-    assert g_value(1, empty) == 1
-    assert g_value(4, empty) == 0
-    assert g_value(6, sys3) == 2
-    assert mg_sum(3, empty) == Fraction(5, 2)
-    assert mg_sum(1, sys3) == 1
-    assert mg_sum(6, sys3) == Fraction(25, 4)
-
-    assert survivor_bound(100, 1, empty) == 101.0
-    assert survivor_bound(100, 3, empty) == (100 + 9) / 2.5
-    assert survivor_bound(1000, 6, sys3) == float(Fraction(1036) / Fraction(25, 4))
-
-    ten = SieveSystem(start=0, x_len=10, omega_p={})
-    assert survivor_count(ten, 2) == 5
-    assert survivor_count(SieveSystem(start=0, x_len=10, omega_p={3: {0, 1}}), 3) == 1
-    assert survivor_count(ten, 1) == 10
-
-    lhs, rhs = pi_u_sieve_inequality(100, 7, PrimeSet(a=1, primes=(3, 5), cutoff=100.0))
-    assert lhs <= rhs
-
-    ones = {(p, e): 1 for p in (2, 3, 5, 7) for e in range(1, 4) if p**e <= 9}
-    chk = lemma21_check(ones, [3], 9)
-    assert chk.lhs == 6 and chk.rhs == 3 and chk.holds
-
-    assert divisor_summatory(1) == 1
-    assert divisor_summatory(2) == 3
-    assert divisor_summatory(10) == 27
-
-    assert lemma22_margin(60) > 0
-    assert abs(b0_estimate(10**6) - 0.478809) < 0.01
-    print("largesieve: self-check ok")

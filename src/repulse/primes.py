@@ -64,6 +64,18 @@ def smallest_prime_factor() -> np.ndarray:
     return _spf_cache
 
 
+def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Primes in [lo, hi), for 2 <= lo and hi <= MAX_ENUMERATION + 1, as int64
+    arrays of one SEGMENT_SIZE block each; base primes come from small_primes()."""
+    ps = small_primes()
+    base = ps[:int(np.searchsorted(ps, math.isqrt(max(hi - 1, 0)), side="right"))].tolist()
+    for seg_lo in range(lo, hi, Config.SEGMENT_SIZE):
+        flags = np.ones(min(Config.SEGMENT_SIZE, hi - seg_lo), dtype=bool)
+        for p in base:
+            flags[max(p * p, -(-seg_lo // p) * p) - seg_lo::p] = False
+        yield np.flatnonzero(flags).astype(np.int64) + seg_lo
+
+
 def primes_up_to(n: int) -> np.ndarray:
     """Sorted int64 array of all primes p <= n."""
     if n < 2:
@@ -73,35 +85,15 @@ def primes_up_to(n: int) -> np.ndarray:
         return ps[:int(np.searchsorted(ps, n, side="right"))]
     if n > Config.MAX_ENUMERATION:
         raise ValueError(f"prime enumeration limit is {Config.MAX_ENUMERATION}, got {n}")
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.concatenate([small_primes(), *_segments(Config.SMALL_SIEVE_LIMIT + 1, n + 1)])
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield primes in [lo, hi) in increasing order, sieving one segment at a time."""
     if hi > Config.MAX_ENUMERATION + 1:
         raise ValueError(f"prime enumeration limit is {Config.MAX_ENUMERATION}, got {hi}")
-    lo = max(lo, 2)
-    if lo >= hi:
-        return
-    base = primes_up_to(math.isqrt(hi - 1))
-    for seg_lo in range(lo, hi, Config.SEGMENT_SIZE):
-        seg_hi = min(seg_lo + Config.SEGMENT_SIZE, hi)
-        flags = np.ones(seg_hi - seg_lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start >= seg_hi:
-                continue
-            flags[start - seg_lo::p] = False
-        if seg_lo <= 1:
-            flags[:2 - seg_lo] = False
-        for off in np.flatnonzero(flags):
-            yield seg_lo + int(off)
+    for seg in _segments(max(lo, 2), hi):
+        yield from seg.tolist()
 
 
 # ----- primality -----
@@ -129,15 +121,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ----- self-check -----
-
-if __name__ == "__main__":
-    ps = primes_up_to(100)
-    assert list(ps[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert len(primes_up_to(1_000_000)) == 78498
-    assert list(iter_primes(90, 120)) == [97, 101, 103, 107, 109, 113]
-    assert is_prime(2) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
-    assert sum(1 for _ in iter_primes(10**6, 10**6 + 10**4)) == 753
-    print("primes: self-check ok")

@@ -156,31 +156,3 @@ def stats(u: PrimeSet, x: float) -> SetStats:
         pi_u=len(members),
         p_u_exact=exact,
     )
-
-
-# ----- self-check -----
-
-if __name__ == "__main__":
-    from .arith import factor
-
-    assert is_self_repulsive([], 1).ok
-    assert is_self_repulsive([3, 5, 17], 1).ok
-    bad = is_self_repulsive([3, 7], 1)
-    assert not bad.ok and bad.witness == (3, 7)
-
-    ps, diag = set_of_integer(factor(15), 1)
-    assert ps.primes == (3, 5) and diag.criterion and diag.squarefree and diag.self_repulsive
-    _, diag4 = set_of_integer(factor(4), 1)
-    assert not diag4.criterion
-    _, diag21 = set_of_integer(factor(21), 1)
-    assert not diag21.criterion and not diag21.self_repulsive
-
-    assert greedy_construct(25, 1, 3).primes == (3, 5, 17, 23)
-    assert greedy_construct(20, 1, 2).primes == (2,)
-    assert greedy_construct(20, -1, 3).primes == (3, 7, 19)
-
-    st = stats(PrimeSet(a=1, primes=(3, 5), cutoff=10.0), 10)
-    assert st.p_u_exact == Fraction(15, 8) and st.pi_u == 2
-    st4 = stats(PrimeSet(a=1, primes=(3, 5), cutoff=10.0), 4)
-    assert st4.p_u_exact == Fraction(3, 2) and st4.pi_u == 1
-    print("repulsive: self-check ok")

@@ -332,40 +332,3 @@ def fermat_family(k: int) -> Solution:
         raise AssertionError(f"Fermat product {pr.n} lost its defining identity")
     return Solution(n=pr.n, m=2, variant="phi", sign=1,
                     factorization=f, classification=classify(f))
-
-
-if __name__ == "__main__":
-    # classical scan over a toy range: 2, 3 and 15 are the known small solutions
-    small = [(s.n, s.m) for s in scan(2, 20, "phi", 1)]
-    assert small == [(2, 3), (3, 2), (15, 2)], small
-
-    # unit-offset characterization: sigma*(n) = n + 1 exactly on prime powers
-    pp = [s.n for s in scan(2, 50, "usigma", 1, min_m=1)]
-    assert all(s == 1 for s in (x.m for x in scan(2, 50, "usigma", 1, min_m=1)))
-    expected_pp = [n for n in range(2, 51)
-                   if len(arith.factor(n).pairs) == 1]
-    assert pp == expected_pp, (pp, expected_pp)
-
-    # sieve agrees with direct per-integer evaluation
-    tbl = build_table(2, 3000)
-    for i, n in enumerate(range(2, 3000)):
-        pr = arith.profile(arith.factor(n))
-        assert (pr.phi, pr.uphi, pr.psi, pr.usigma, pr.omega, pr.n1) == (
-            int(tbl.phi[i]), int(tbl.uphi[i]), int(tbl.psi[i]),
-            int(tbl.usigma[i]), int(tbl.omega[i]), int(tbl.n1[i]))
-
-    # audits over a small prefix: counterexample-free, family counts match
-    rep = lehmer_audit(10**4)
-    assert rep.ok and rep.family_count == len(primes.primes_up_to(10**4))
-    rep = subbarao_audit(10**4)
-    n_pp = sum(1 for n in range(2, 10**4 + 1) if len(arith.factor(n).pairs) == 1)
-    assert rep.ok and rep.family_count == n_pp
-
-    # worker count must not affect the stream
-    a = list(scan(2, 10**5, "phi", 1, jobs=1, block=1 << 14))
-    b = list(scan(2, 10**5, "phi", 1, jobs=4, block=1 << 14))
-    assert a == b
-
-    last = fermat_family(5)
-    assert last.n == 4294967295 and last.classification == "composite-squarefree"
-    print("search self-check OK")

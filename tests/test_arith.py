@@ -67,6 +67,7 @@ def test_factor_examples():
     assert factor(1).pairs == ()
     assert factor(12).pairs == ((2, 2), (3, 1))
     assert factor(97).pairs == ((97, 1),)
+    assert factor(2**61 - 1).pairs == ((2**61 - 1, 1),)
 
 
 def test_factor_rejects_out_of_range():

@@ -117,6 +117,7 @@ def test_delta_limit_behavior():
 
 def test_delta_chain_examples():
     assert delta(100.0) < 1 + (3 * math.log(100) - 7.55957) / 100
+    assert delta_psi(100.0) < delta(100.0)
     assert EIGHT_EGAMMA * delta(73.0) <= EIGHT_EGAMMA * (
         1 + (3 * math.log(73) - 7.55957) / 73
     )
@@ -316,6 +317,7 @@ def test_delta_chains_hold_on_grid():
 def test_eta_log_chain_fails_everywhere_up_to_1e6():
     # the advertised constants 7.05655 / 7.08521 are not actually
     # achieved by eta: every grid point up to 1e6 violates the log chain
+    assert chain_margin(72.0, "eta", "log") < 0
     for correction in ("eta", "eta_psi"):
         rep = chain_grid_report(correction, "log", points=2001)
         assert rep.violations == rep.points

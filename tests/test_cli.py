@@ -37,6 +37,25 @@ def test_unknown_choice_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--variant", "phi", "--sign", "+1", "--to", "inf"],
+    ["scan", "--variant", "phi", "--sign", "+1", "--to", "1e400"],
+    ["greedy", "--a", "1", "--start", "3", "--x", "inf"],
+    ["sieve", "--x", "inf", "--w", "30", "--set", "u.json"],
+    ["sieve", "--x", "1e4", "--w", "inf", "--set", "u.json"],
+    ["eval", "--fn", "delta", "--t", "inf"],
+    ["eval", "--fn", "thm21", "--x", "1e6", "--p-u", "nan"],
+    ["eval", "--fn", "pu-upper", "--x", "1e6", "--theta-u", "inf"],
+    ["verify-constants", "--tolerance", "nan"],
+])
+def test_non_finite_number_is_usage_error(capsys, argv):
+    # exit 1 would mean "violation found"; a bad number is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 # ----- scan -----
 
 SCAN20 = [

@@ -75,7 +75,7 @@ def test_mg_rejects_small_z():
 def test_survivor_bound_examples():
     assert survivor_bound(100, 1, EMPTY) == pytest.approx(101.0)
     assert survivor_bound(100, 3, EMPTY) == pytest.approx(43.6)
-    assert survivor_bound(1000, 6, U3) == pytest.approx(165.76)
+    assert survivor_bound(1000, 6, U3) == float(Fraction(1036) / Fraction(25, 4))
 
 
 def test_survivor_bound_reports_offending_prime():

@@ -1,0 +1,92 @@
+"""Tests for prime enumeration and primality, against sympy as an independent oracle."""
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repulse.primes import Config, is_prime, iter_primes, primes_up_to
+
+SMALL = Config.SMALL_SIEVE_LIMIT
+SEG = Config.SEGMENT_SIZE
+EDGE_OFFSETS = [k * SEG + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+def oracle(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi) from sympy's own sieve."""
+    return list(sympy.sieve.primerange(lo, hi))
+
+
+def test_examples():
+    assert primes_up_to(100)[:10].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert len(primes_up_to(10**6)) == 78498
+    assert list(iter_primes(90, 120)) == [97, 101, 103, 107, 109, 113]
+    assert sum(1 for _ in iter_primes(10**6, 10**6 + 10**4)) == 753
+
+
+def test_is_prime_examples():
+    assert is_prime(2) and is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+
+
+# ----- primes_up_to -----
+
+
+# the cached table ends at SMALL; segments start at SMALL + 1, SEG integers each
+@pytest.mark.parametrize("n", [2, 100, SMALL - 1, SMALL, SMALL + 1]
+                         + [SMALL + off for off in EDGE_OFFSETS])
+def test_primes_up_to_matches_sympy(n):
+    got = primes_up_to(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle(2, n + 1)
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_primes_up_to_below_two_is_empty(n):
+    got = primes_up_to(n)
+    assert got.dtype == np.int64 and got.size == 0
+
+
+# ----- iter_primes -----
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2])
+@pytest.mark.parametrize("offset", EDGE_OFFSETS)
+def test_iter_primes_matches_sympy(lo, offset):
+    # segments start at max(lo, 2), so hi = 2 + offset sits on or next to an edge
+    got = list(iter_primes(lo, 2 + offset))
+    assert got == oracle(lo, 2 + offset)
+    assert all(type(p) is int for p in got[:5])
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (-10, 1), (5, 5), (10, 3), (24, 29)])
+def test_iter_primes_empty_ranges(lo, hi):
+    assert list(iter_primes(lo, hi)) == []
+
+
+def test_iter_primes_window_ending_at_the_limit():
+    hi = Config.MAX_ENUMERATION + 1
+    lo = hi - 50_000
+    assert list(iter_primes(lo, hi)) == list(sympy.primerange(lo, hi))
+
+
+def test_enumeration_limit():
+    limit = Config.MAX_ENUMERATION
+    with pytest.raises(ValueError, match="enumeration limit"):
+        primes_up_to(limit + 1)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        next(iter_primes(0, limit + 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seg=st.integers(64, 4096), lo=st.integers(-10, 3 * 10**6),
+       width=st.integers(0, 20_000))
+def test_segments_match_sympy_across_segment_edges(seg, lo, width):
+    # a small segment size puts many segment edges inside each window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Config, "SEGMENT_SIZE", seg)
+        got_iter = list(iter_primes(lo, lo + width))
+        got_table = primes_up_to(SMALL + width)
+    assert got_iter == oracle(lo, lo + width)
+    assert got_table[got_table > SMALL].tolist() == oracle(SMALL + 1, SMALL + width + 1)

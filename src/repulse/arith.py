@@ -226,10 +226,6 @@ def profile(f: Factorization) -> ArithProfile:
 # ----- serialization -----
 
 
-def factorization_to_json(f: Factorization) -> list[list[int]]:
-    return [[p, e] for p, e in f.pairs]
-
-
 def profile_to_json(pr: ArithProfile) -> dict[str, object]:
     """Flat JSON object; big integers rendered as decimal strings."""
     return {

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .arith import ArithProfile, Factorization, factor, profile
+# factor is unused here but stays importable: perfbench wraps bounds.factor.
+from .arith import Factorization, factor, profile
 
 # 30-digit literals: B0 = gamma^2 - 2*gamma1 must reproduce 0.478809...
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -427,17 +428,6 @@ def chain_grid_report(
 
 # ----- exact multiplier and its assembled upper bound -----
 
-ProfileLike = Union[ArithProfile, Factorization]
-
-
-def _profile_of(obj: ProfileLike) -> ArithProfile:
-    if isinstance(obj, Factorization):
-        return profile(obj)
-    if isinstance(obj, ArithProfile):
-        return obj
-    raise TypeError(f"expected ArithProfile or Factorization, got {type(obj)}")
-
-
 def _check_variant_sign(variant: str, sign: int) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -445,14 +435,15 @@ def _check_variant_sign(variant: str, sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def solve_m(pr: ProfileLike, variant: str, sign: int) -> Optional[int]:
-    """Exact multiplier M of the variant equation at n, or None.
+def solve_m(f: Factorization, variant: str, sign: int) -> Optional[int]:
+    """Exact multiplier M of the variant equation at n = f.value, or None.
 
     Totient variants solve M * f(n) = n + sign; the psi and unitary
-    sigma variants solve f(n) = M * n + sign.
+    sigma variants solve f(n) = M * n + sign.  The function values come
+    from arith.profile(f).
     """
     _check_variant_sign(variant, sign)
-    pr = _profile_of(pr)
+    pr = profile(f)
     if pr.n < 2:
         raise ValueError(f"n = {pr.n} out of range: need n >= 2")
     if variant in TOTIENT_VARIANTS:
@@ -466,33 +457,29 @@ def solve_m(pr: ProfileLike, variant: str, sign: int) -> Optional[int]:
     return num // den
 
 
-def assemble_M_exact(pr: ProfileLike, variant: str, sign: int) -> Fraction:
-    """Exact assembled upper bound on the multiplier M.
+def assemble_M_exact(f: Factorization, variant: str, sign: int) -> Fraction:
+    """Exact assembled upper bound on the multiplier M of n = f.value.
 
     Totient variants: (1 + 1/n) * prod(p/(p-1) over unitary primes)
     * prod(p^2/(p^2-1) over repeated primes); psi/usigma variants:
-    1/n + prod((p+1)/p) * prod((p^2+1)/p^2).
+    1/n + prod((p+1)/p) * prod((p^2+1)/p^2), over the primes of f.
     """
     _check_variant_sign(variant, sign)
-    if isinstance(pr, Factorization):
-        pairs, n = pr.pairs, pr.value
-    else:
-        prof = _profile_of(pr)
-        pairs, n = (factor(prof.n).pairs if prof.n > 1 else ()), prof.n
+    n = f.value
     if n == 1:
         raise ValueError("n = 1 has no multiplier bound")
     if variant in TOTIENT_VARIANTS:
         # (1 + 1/n) multiplies the whole product: the additive split
         # 1/n + prod(...) undercounts the equality case n = 15, M = 2.
         val = Fraction(n + 1, n)
-        for p, e in pairs:
+        for p, e in f.pairs:
             if e == 1:
                 val *= Fraction(p, p - 1)
             else:
                 val *= Fraction(p * p, p * p - 1)
         return val
     prod = Fraction(1)
-    for p, e in pairs:
+    for p, e in f.pairs:
         if e == 1:
             prod *= Fraction(p + 1, p)
         else:
@@ -500,9 +487,9 @@ def assemble_M_exact(pr: ProfileLike, variant: str, sign: int) -> Fraction:
     return Fraction(1, n) + prod
 
 
-def assemble_M(pr: ProfileLike, variant: str, sign: int) -> float:
+def assemble_M(f: Factorization, variant: str, sign: int) -> float:
     """Float form of assemble_M_exact."""
-    return float(assemble_M_exact(pr, variant, sign))
+    return float(assemble_M_exact(f, variant, sign))
 
 
 # ----- theorem-style check of a solution -----
@@ -544,34 +531,36 @@ class TheoremCheck:
 
 
 def theorem_check(
-    pr: ProfileLike,
+    f: Factorization,
     m: int,
     variant: str,
     sign: int,
     verify_solution: bool = True,
 ) -> TheoremCheck:
-    """Check the exact solution (n, M) against the headline bounds.
+    """Check the exact solution (n, M), n = f.value, against the headline bounds.
 
     The triple-log path compares M with c1 * logloglog(n) (totient and
     psi variants) or c1 * logloglog(n1) (unitary variants); it applies
     only when the argument exceeds e^e.  The omega path compares M with
-    c2 * loglog(omega(n1)) and applies only when omega(n1) >= 4.  With
-    verify_solution (default) the pair must satisfy the equation
-    exactly, otherwise ValueError.
+    c2 * loglog(omega(n1)) and applies only when omega(n1) >= 4.  The
+    kernel n1 is the product of the primes of f with exponent 1, and
+    omega(n1) is their count.  With verify_solution (default) the pair
+    must satisfy the equation exactly (via solve_m), otherwise
+    ValueError.
     """
     _check_variant_sign(variant, sign)
-    prof = _profile_of(pr)
     if m < 1:
         raise ValueError(f"m = {m} out of range: need m >= 1")
     if verify_solution:
-        expected = solve_m(prof, variant, sign)
+        expected = solve_m(f, variant, sign)
         if expected != m:
             raise ValueError(
-                f"(n, m) = ({prof.n}, {m}) does not solve the "
+                f"(n, m) = ({f.value}, {m}) does not solve the "
                 f"{variant}/{sign:+d} equation (exact m: {expected})"
             )
 
-    tri_arg = prof.n if variant in ("phi", "psi") else prof.n1
+    units = [p for p, e in f.pairs if e == 1]
+    tri_arg = f.value if variant in ("phi", "psi") else math.prod(units)
     tri_applicable = tri_arg > _E_E
     if tri_applicable:
         tri_val = math.log(math.log(math.log(tri_arg)))
@@ -580,7 +569,7 @@ def theorem_check(
     else:
         tri = SubCheck("triple_log", False, float(tri_arg), None, None)
 
-    r = len(factor(prof.n1).pairs) if prof.n1 > 1 else 0
+    r = len(units)
     om_applicable = r >= OMEGA_MINIMUM
     if om_applicable:
         om_val = math.log(math.log(r))
@@ -599,7 +588,7 @@ def theorem_check(
     else:
         status = "fail"
     return TheoremCheck(
-        n=prof.n,
+        n=f.value,
         m=m,
         variant=variant,
         sign=sign,

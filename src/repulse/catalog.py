@@ -98,6 +98,9 @@ def compile_expression(text: str) -> Callable[[float], float]:
 
     Only arithmetic operators, the registered function names, and the
     registered constants are admitted; anything else raises ValueError.
+    Integer literals are compiled as floats, so a power such as 9**9**9
+    overflows instead of being computed exactly; an overflow or a division
+    by zero during evaluation raises ValueError naming the expression and t.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -116,10 +119,18 @@ def compile_expression(text: str) -> Callable[[float], float]:
                 raise ValueError(f"expression {text!r} calls a non-registered function")
             if node.keywords:
                 raise ValueError(f"expression {text!r} uses keyword arguments")
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ValueError(f"expression {text!r} has a literal beyond float range") from None
     code = compile(tree, "<catalog>", "eval")
 
     def fn(t: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**_NAMESPACE, "t": t}))
+        try:
+            return float(eval(code, {"__builtins__": {}}, {**_NAMESPACE, "t": t}))
+        except ArithmeticError as exc:
+            raise ValueError(f"expression {text!r} fails at t = {t}: {exc}") from None
 
     fn.__name__ = f"expr_{abs(hash(text)) % 10**8}"
     return fn

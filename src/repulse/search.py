@@ -17,7 +17,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class Config:
     MIN_M_TOTIENT = 2             # default multiplier floor (m = 1 means n prime)
     MIN_M_UNIT_OFFSET = 1         # psi / unitary sigma: m = 1 is the prime-power family
 
-
-CLASSIFICATIONS = (
-    "prime",
-    "prime-power",
-    "composite-squarefree",
-    "composite-nonsquarefree",
-)
 
 KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -116,24 +109,20 @@ def build_table(lo: int, hi: int, base: Optional[np.ndarray] = None) -> BlockTab
                       usigma=usig, omega=omega, n1=n1)
 
 
-def _block_ranges(lo: int, hi: int, block: int) -> list[tuple[int, int]]:
-    # Half-open cover of the inclusive range [lo, hi].
-    return [(a, min(a + block, hi + 1)) for a in range(lo, hi + 1, block)]
-
-
-def _table_stream(ranges: Sequence[tuple[int, int]], base: np.ndarray,
-                  jobs: int) -> Iterator[BlockTable]:
-    """Yield block tables in range order; workers keep only a bounded window live."""
+def _table_stream(lo: int, hi: int, jobs: int) -> Iterator[BlockTable]:
+    """Yield the tables of Config.BLOCK_SIZE blocks covering the inclusive range
+    [lo, hi] in order; workers keep only a bounded window live."""
+    base = _base_primes(hi + 1)
+    block = Config.BLOCK_SIZE
+    ranges = ((a, min(a + block, hi + 1)) for a in range(lo, hi + 1, block))
     if jobs <= 1:
         for a, b in ranges:
             yield build_table(a, b, base)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        it = iter(ranges)
-        for a, b in itertools.islice(it, jobs + 2):
-            pending.append(pool.submit(build_table, a, b, base))
-        for a, b in it:
+        pending = deque(pool.submit(build_table, a, b, base)
+                        for a, b in itertools.islice(ranges, jobs + 2))
+        for a, b in ranges:
             yield pending.popleft().result()
             pending.append(pool.submit(build_table, a, b, base))
         while pending:
@@ -199,16 +188,18 @@ def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
     else:
         den = tbl.n
         num = (tbl.psi if variant == "psi" else tbl.usigma) - sign
-    ok = (num > 0) & (num % den == 0)
-    m = np.zeros_like(tbl.n)
-    np.floor_divide(num, den, out=m, where=ok)
-    keep = ok & (m >= min_m)
+    # num >= 1 for every n >= 2: n + sign >= 1, and psi(n), sigma*(n) >= n + 1.
+    hit = np.flatnonzero(num % den == 0)
+    m = num[hit] // den[hit]
+    keep = m >= min_m
+    hit, m = hit[keep], m[keep]
+    n = tbl.n[hit]
     # n is prime iff phi(n) = n - 1; lets the flood of prime solutions skip factor()
-    return tbl.n[keep], m[keep], tbl.phi[keep] == tbl.n[keep] - 1
+    return n, m, tbl.phi[hit] == n - 1
 
 
 def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
-         jobs: int = 1, block: int = Config.BLOCK_SIZE) -> Iterator[Solution]:
+         jobs: int = 1) -> Iterator[Solution]:
     """Stream every solution with multiplier >= min_m over the inclusive range [lo, hi].
 
     Output is sorted by n and byte-for-byte independent of `jobs`.  Totient
@@ -228,8 +219,7 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _base_primes(hi + 1)
-    for tbl in _table_stream(_block_ranges(lo, hi, block), base, jobs):
+    for tbl in _table_stream(lo, hi, jobs):
         ns, ms, prime_flags = _hit_arrays(tbl, variant, sign, min_m)
         for n, m, pf in zip(ns.tolist(), ms.tolist(), prime_flags.tolist()):
             yield _make_solution(n, m, variant, sign, prime_hint=pf)
@@ -268,24 +258,22 @@ class AuditReport:
         }
 
 
-def _divisor_audit(conjecture: str, hi: int, jobs: int, block: int) -> AuditReport:
+def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
+    # The audit is the variant/-1 equation with min_m = 1.  Its family is the
+    # m = 1 hits: phi(n) = n - 1 iff n is prime, and phi*(n) = n - 1 iff n is a
+    # prime power, since (a - 1)(b - 1) < ab - 1 for coprime a, b >= 2.
+    if hi > Config.MAX_SCAN_LIMIT:
+        raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
     t0 = time.perf_counter()
+    variant = "phi" if conjecture == "lehmer" else "uphi"
     hits: list[Solution] = []
     family_count = 0
     if hi >= 2:
-        base = _base_primes(hi + 1)
-        for tbl in _table_stream(_block_ranges(2, hi, block), base, jobs):
-            if conjecture == "lehmer":
-                den = tbl.phi
-                in_family = den == tbl.n - 1          # primes
-            else:
-                den = tbl.uphi
-                in_family = tbl.omega == np.int16(1)  # prime powers
-            divides = (tbl.n - 1) % den == 0
-            family_count += int(np.count_nonzero(divides & in_family))
-            bad = divides & ~in_family
-            for n, m in zip(tbl.n[bad].tolist(), ((tbl.n[bad] - 1) // den[bad]).tolist()):
-                variant = "phi" if conjecture == "lehmer" else "uphi"
+        for tbl in _table_stream(2, hi, jobs):
+            ns, ms, _ = _hit_arrays(tbl, variant, -1, 1)
+            one = ms == 1
+            family_count += int(np.count_nonzero(one))
+            for n, m in zip(ns[~one].tolist(), ms[~one].tolist()):
                 hits.append(_make_solution(n, m, variant, -1))
     family = "prime" if conjecture == "lehmer" else "prime-power"
     return AuditReport(conjecture=conjecture, hi=hi, counterexamples=tuple(hits),
@@ -293,26 +281,22 @@ def _divisor_audit(conjecture: str, hi: int, jobs: int, block: int) -> AuditRepo
                        wall_time=time.perf_counter() - t0)
 
 
-def lehmer_audit(hi: int, jobs: int = 1, block: int = Config.BLOCK_SIZE) -> AuditReport:
+def lehmer_audit(hi: int, jobs: int = 1) -> AuditReport:
     """Audit that no composite n <= hi has phi(n) dividing n - 1.
 
     Every prime trivially satisfies the divisibility with multiplier 1; the
     report counts them and lists any composite counterexample.
     """
-    if hi > Config.MAX_SCAN_LIMIT:
-        raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
-    return _divisor_audit("lehmer", hi, jobs, block)
+    return _divisor_audit("lehmer", hi, jobs)
 
 
-def subbarao_audit(hi: int, jobs: int = 1, block: int = Config.BLOCK_SIZE) -> AuditReport:
+def subbarao_audit(hi: int, jobs: int = 1) -> AuditReport:
     """Audit that every n <= hi with phi*(n) dividing n - 1 is a prime power.
 
     Prime powers satisfy the divisibility with multiplier 1 since
     phi*(p^e) = p^e - 1; the report lists any other n that slips through.
     """
-    if hi > Config.MAX_SCAN_LIMIT:
-        raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
-    return _divisor_audit("subbarao", hi, jobs, block)
+    return _divisor_audit("subbarao", hi, jobs)
 
 
 # ----- the Fermat-prime family -----

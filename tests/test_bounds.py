@@ -17,9 +17,12 @@ from repulse.bounds import (
     EIGHT_EGAMMA,
     EIGHT_GAMMA,
     EULER_GAMMA,
+    OMEGA_LOG_CONSTANTS,
     STIELTJES_B0,
     STIELTJES_GAMMA1,
+    TRIPLE_LOG_CONSTANTS,
     BoundContext,
+    SubCheck,
     assemble_M,
     assemble_M_exact,
     boundary_log_count,
@@ -539,6 +542,40 @@ def test_theorem_check_rejects_non_solutions():
         theorem_check(factor(15), 3, "phi", 1)
     with pytest.raises(ValueError):
         theorem_check(factor(15), 0, "phi", 1)
+
+
+def oracle_subchecks(f, m, variant):
+    # the kernel n1 from profile(f), omega(n1) from factoring n1 afresh
+    n1 = profile(f).n1
+    r = len(factor(n1).pairs)
+    tri_arg = f.value if variant in ("phi", "psi") else n1
+    if tri_arg > math.exp(math.e):
+        val = math.log(math.log(math.log(tri_arg)))
+        bound = TRIPLE_LOG_CONSTANTS[variant] * val
+        tri = SubCheck("triple_log", True, val, bound, m < bound)
+    else:
+        tri = SubCheck("triple_log", False, float(tri_arg), None, None)
+    if r >= 4:
+        bound = OMEGA_LOG_CONSTANTS[variant] * math.log(math.log(r))
+        om = SubCheck("omega_log", True, float(r), bound, m < bound)
+    else:
+        om = SubCheck("omega_log", False, float(r), None, None)
+    return tri, om
+
+
+def test_theorem_check_kernel_matches_factoring_oracle():
+    # the range holds non-squarefree n with n1 != n, powerful n with n1 = 1,
+    # and n with omega(n1) >= 4, where the omega path applies
+    kernels = {n: profile(factor(n)).n1 for n in (4, 12, 36, 2310)}
+    assert kernels == {4: 1, 12: 3, 36: 1, 2310: 2310}
+    for n in range(1, 3001):
+        f = factor(n)
+        for variant in ("phi", "uphi", "psi", "usigma"):
+            for m in (1, 2):
+                want = oracle_subchecks(f, m, variant)
+                for sign in (1, -1):
+                    chk = theorem_check(f, m, variant, sign, verify_solution=False)
+                    assert (chk.triple_log, chk.omega_log) == want, (n, variant, sign, m)
 
 
 def test_theorem_check_unitary_kernel_argument():

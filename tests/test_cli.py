@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -261,6 +264,50 @@ def test_verify_constants_catalog_override(capsys, tmp_path):
     assert code == 0
     row = json.loads(out)
     assert row["name"] == "toy_reciprocal" and row["verdict"] == "pass"
+
+
+def _one_entry_catalog(path, expression, domain):
+    path.write_text(json.dumps({
+        "version": "0.0.1",
+        "entries": [{
+            "name": "bad",
+            "kind": "closed_form",
+            "direction": "sup_le",
+            "expression": expression,
+            "domain": domain,
+            "claimed": 1.0,
+        }],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("expression, domain", [
+    ("t**400", [1.0, 10.0]),
+    ("1/(t-4)", [3.0, 5.0]),
+    ("1" + "0" * 400 + "*t", [1.0, 2.0]),
+])
+def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
+                                                         expression, domain):
+    alt = _one_entry_catalog(tmp_path / "cat.json", expression, domain)
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("repulse: ")
+    assert expression in err
+
+
+def test_verify_constants_huge_power_does_not_hang(tmp_path):
+    # exact integer powering of 9**9**9 would never finish; the child is
+    # killed after 30 s so that a regression fails instead of hanging
+    alt = _one_entry_catalog(tmp_path / "cat.json", "9**9**9", [1.0, 2.0])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repulse.cli", "verify-constants", "--catalog", str(alt)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("repulse: ")
 
 
 # ----- eval and profile -----

@@ -62,6 +62,15 @@ def test_block_table_validation():
         build_table(2, search.Config.MAX_SCAN_LIMIT + 2)
 
 
+def test_audit_family_identities():
+    # the audits take their family to be the m = 1 hits: phi(n) = n - 1 iff n
+    # is prime, and phi*(n) = n - 1 iff n is a prime power
+    tbl = build_table(2, 10**5 + 1)
+    prime = np.isin(tbl.n, primes.primes_up_to(10**5))
+    assert np.array_equal(tbl.phi == tbl.n - 1, prime)
+    assert np.array_equal(tbl.uphi == tbl.n - 1, tbl.omega == 1)
+
+
 # ----- scan: classical and unitary totient -----
 
 
@@ -208,10 +217,10 @@ def test_scan_argument_validation():
     assert list(scan(50, 10, "phi", 1)) == []  # empty range
 
 
-def test_scan_jobs_deterministic():
-    kw = dict(min_m=1, block=1 << 14)
-    seq = list(scan(2, 3 * 10**4, "psi", 1, jobs=1, **kw))
-    par = list(scan(2, 3 * 10**4, "psi", 1, jobs=4, **kw))
+def test_scan_jobs_deterministic(monkeypatch):
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 14)
+    seq = list(scan(2, 3 * 10**4, "psi", 1, min_m=1, jobs=1))
+    par = list(scan(2, 3 * 10**4, "psi", 1, min_m=1, jobs=4))
     assert seq == par
     seq_js = [s.to_json() for s in seq]
     par_js = [s.to_json() for s in par]
@@ -244,9 +253,10 @@ def test_subbarao_audit_small():
     assert rep.family_count == expected
 
 
-def test_audit_jobs_deterministic():
-    a = lehmer_audit(10**5, jobs=1, block=1 << 14)
-    b = lehmer_audit(10**5, jobs=4, block=1 << 14)
+def test_audit_jobs_deterministic(monkeypatch):
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 14)
+    a = lehmer_audit(10**5, jobs=1)
+    b = lehmer_audit(10**5, jobs=4)
     assert a.ok == b.ok and a.family_count == b.family_count
     assert a.counterexamples == b.counterexamples
 

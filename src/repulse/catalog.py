@@ -96,11 +96,12 @@ _NAMESPACE: Dict[str, object] = {
 def compile_expression(text: str) -> Callable[[float], float]:
     """Compile a whitelisted arithmetic expression of t into a callable.
 
-    Only arithmetic operators, the registered function names, and the
-    registered constants are admitted; anything else raises ValueError.
-    Integer literals are compiled as floats, so a power such as 9**9**9
-    overflows instead of being computed exactly; an overflow or a division
-    by zero during evaluation raises ValueError naming the expression and t.
+    Only arithmetic operators, the registered function names, the
+    registered constants and int or float literals are admitted; anything
+    else raises ValueError.  Integer literals are compiled as floats, so a
+    power such as 9**9**9 overflows instead of being computed exactly.  An
+    overflow, a division by zero, a non-real value or a bad call during
+    evaluation raises ValueError naming the expression and t.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -119,7 +120,9 @@ def compile_expression(text: str) -> Callable[[float], float]:
                 raise ValueError(f"expression {text!r} calls a non-registered function")
             if node.keywords:
                 raise ValueError(f"expression {text!r} uses keyword arguments")
-        if isinstance(node, ast.Constant) and type(node.value) is int:
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ValueError(f"expression {text!r} has a non-real literal {node.value!r}")
             try:
                 node.value = float(node.value)
             except OverflowError:
@@ -129,7 +132,7 @@ def compile_expression(text: str) -> Callable[[float], float]:
     def fn(t: float) -> float:
         try:
             return float(eval(code, {"__builtins__": {}}, {**_NAMESPACE, "t": t}))
-        except ArithmeticError as exc:
+        except (ArithmeticError, TypeError) as exc:
             raise ValueError(f"expression {text!r} fails at t = {t}: {exc}") from None
 
     fn.__name__ = f"expr_{abs(hash(text)) % 10**8}"
@@ -193,26 +196,39 @@ class ConstantCheck:
 
     @staticmethod
     def from_json(d: dict) -> "ConstantCheck":
-        lo, hi = d["domain"]
-        return ConstantCheck(
-            name=d["name"],
-            kind=d["kind"],
-            direction=d["direction"],
-            expression=d["expression"],
-            domain_lo=float(lo),
-            domain_hi=math.inf if hi is None else float(hi),
-            claimed=float(d["claimed"]),
-            flagged=bool(d.get("flagged", False)),
-            integer_domain=bool(d.get("integer_domain", False)),
-            scan_hi=d.get("scan_hi"),
-            tail_note=d.get("tail_note"),
-            note=d.get("note"),
-            cite=d.get("cite"),
-            recomputed_sup=d.get("recomputed_sup"),
-            sup_at=d.get("sup_at"),
-            margin=d.get("margin"),
-            verdict=d.get("verdict"),
-        )
+        """Build an entry from its JSON object; a malformed one raises ValueError.
+
+        A null or infinite upper domain end means an unbounded domain; a
+        non-finite claim or lower end, or a NaN upper end, is malformed.
+        """
+        name = d.get("name") if isinstance(d, dict) else d
+        try:
+            lo, hi = d["domain"]
+            entry = ConstantCheck(
+                name=d["name"],
+                kind=d["kind"],
+                direction=d["direction"],
+                expression=d["expression"],
+                domain_lo=float(lo),
+                domain_hi=math.inf if hi is None else float(hi),
+                claimed=float(d["claimed"]),
+                flagged=bool(d.get("flagged", False)),
+                integer_domain=bool(d.get("integer_domain", False)),
+                scan_hi=d.get("scan_hi"),
+                tail_note=d.get("tail_note"),
+                note=d.get("note"),
+                cite=d.get("cite"),
+                recomputed_sup=d.get("recomputed_sup"),
+                sup_at=d.get("sup_at"),
+                margin=d.get("margin"),
+                verdict=d.get("verdict"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"catalog entry {name!r} is malformed: {exc!r}") from None
+        finite = math.isfinite(entry.claimed) and math.isfinite(entry.domain_lo)
+        if not finite or math.isnan(entry.domain_hi):
+            raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
+        return entry
 
 
 @dataclass(frozen=True)
@@ -239,6 +255,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     raw = json.loads(text)
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+        raise ValueError("catalog must be a JSON object with an 'entries' list")
     entries = tuple(ConstantCheck.from_json(d) for d in raw["entries"])
     names = [e.name for e in entries]
     if len(set(names)) != len(names):

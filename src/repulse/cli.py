@@ -87,6 +87,13 @@ def _int_arg(text: str) -> int:
         return int(value)
 
 
+def _positive_int_arg(text: str) -> int:
+    value = _int_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _sign_arg(text: str) -> int:
     if text in ("+1", "1"):
         return 1
@@ -281,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=_int_arg, required=True)
     p.add_argument("--min-m", dest="min_m", type=_int_arg, default=None,
                    help="multiplier floor; defaults to 2 (totients) or 1 (psi/usigma)")
-    p.add_argument("--jobs", type=_int_arg, default=_default_jobs())
+    p.add_argument("--jobs", type=_positive_int_arg, default=_default_jobs())
     _add_common(p)
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("audit", help="divisor audits over [2, hi]")
     p.add_argument("--conjecture", choices=("lehmer", "subbarao"), required=True)
     p.add_argument("--to", dest="hi", type=_int_arg, required=True)
-    p.add_argument("--jobs", type=_int_arg, default=_default_jobs())
+    p.add_argument("--jobs", type=_positive_int_arg, default=_default_jobs())
     _add_common(p)
     p.set_defaults(handler=cmd_audit)
 
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sieve)
 
     p = sub.add_parser("lemma21", help="randomized restricted-sum inequality trials")
-    p.add_argument("--trials", type=_int_arg, default=20)
+    p.add_argument("--trials", type=_positive_int_arg, default=20)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(handler=cmd_lemma21)
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma22", help="divisor-average margin over a range of y")
     p.add_argument("--from", dest="lo", type=_int_arg, default=60)
     p.add_argument("--to", dest="hi", type=_int_arg, default=10**6)
-    p.add_argument("--step", type=_int_arg, default=1)
+    p.add_argument("--step", type=_positive_int_arg, default=1)
     _add_common(p)
     p.set_defaults(handler=cmd_lemma22)
 

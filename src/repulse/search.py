@@ -2,11 +2,12 @@
 
 A "solution" is a pair (n, m) with m * phi(n) = n + sign (classical or
 unitary totient) or f(n) = m * n + sign (psi or unitary sigma).  The
-scanner sieves all five multiplicative functions over consecutive blocks
-with numpy, so ranges up to 10**9 are feasible, and yields solutions as a
-sorted stream.  On top of the scanner sit two divisibility audits (the
-classical composite-totient-divisor question and its unitary analogue)
-and the constructor for the known family built from Fermat primes.
+scanner sieves phi, phi*, psi, sigma*, omega and the unit-exponent kernel
+n1 over consecutive blocks with numpy, so ranges up to 10**9 are feasible,
+and yields solutions as a sorted stream.  On top of the scanner sit two
+divisibility audits (the classical composite-totient-divisor question and
+its unitary analogue) and the constructor for the known family built from
+Fermat primes.
 """
 
 from __future__ import annotations
@@ -54,19 +55,16 @@ class BlockTable:
     n1: np.ndarray  # product of primes dividing n exactly once
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    # Primes up to sqrt(limit - 1) suffice: any leftover cofactor is prime.
-    return primes.primes_up_to(math.isqrt(max(limit - 1, 1)))
+def build_table(lo: int, hi: int) -> BlockTable:
+    """Sieve phi, phi*, psi, sigma*, omega and the unit-exponent kernel n1 on [lo, hi).
 
-
-def build_table(lo: int, hi: int, base: Optional[np.ndarray] = None) -> BlockTable:
-    """Sieve phi, phi*, psi, sigma*, omega and the unit-exponent kernel on [lo, hi)."""
+    Each prime p <= sqrt(hi - 1) updates its multiples through strided slices;
+    any n < hi has at most one prime factor above that, left over at the end.
+    """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"range end {hi - 1} exceeds limit {Config.MAX_SCAN_LIMIT}")
-    if base is None:
-        base = _base_primes(hi)
     size = hi - lo
     n = np.arange(lo, hi, dtype=np.int64)
     rem = n.copy()
@@ -76,35 +74,30 @@ def build_table(lo: int, hi: int, base: Optional[np.ndarray] = None) -> BlockTab
     usig = np.ones(size, dtype=np.int64)
     n1 = np.ones(size, dtype=np.int64)
     omega = np.zeros(size, dtype=np.int16)
-    for p in base.tolist():
-        start = ((lo + p - 1) // p) * p
-        first = start - lo
+    for p in primes.primes_up_to(math.isqrt(hi - 1)).tolist():
+        first = -lo % p
         if first >= size:
             continue
-        idx = np.arange(first, size, p, dtype=np.int64)
-        r = rem[idx]
-        q = np.full(idx.size, p, dtype=np.int64)
-        r //= p
-        more = r % p == 0
-        while more.any():
-            r[more] //= p
-            q[more] *= p
-            more[more] = r[more] % p == 0
-        rem[idx] = r
-        phi[idx] *= (q // p) * (p - 1)
-        uphi[idx] *= q - 1
-        psi[idx] *= (q // p) * (p + 1)
-        usig[idx] *= q + 1
-        n1[idx] *= np.where(q == p, p, 1)
-        omega[idx] += 1
+        s = slice(first, None, p)
+        q = np.full(len(range(first, size, p)), p, dtype=np.int64)  # p**e exactly dividing n
+        pk = p * p
+        while (f := -lo % pk) < size:
+            q[(f - first) // p::pk // p] *= p
+            pk *= p
+        rem[s] //= q
+        phi[s] *= q // p * (p - 1)
+        uphi[s] *= q - 1
+        psi[s] *= q // p * (p + 1)
+        usig[s] *= q + 1
+        n1[s] *= np.where(q == p, p, 1)
+        omega[s] += 1
     big = rem > 1  # leftover cofactor is a prime with exponent 1
-    r = rem[big]
-    phi[big] *= r - 1
-    uphi[big] *= r - 1
-    psi[big] *= r + 1
-    usig[big] *= r + 1
-    n1[big] *= r
-    omega[big] += 1
+    phi *= np.maximum(rem - 1, 1)
+    uphi *= np.maximum(rem - 1, 1)
+    psi *= rem + big
+    usig *= rem + big
+    n1 *= rem
+    omega += big
     return BlockTable(lo=lo, hi=hi, n=n, phi=phi, uphi=uphi, psi=psi,
                       usigma=usig, omega=omega, n1=n1)
 
@@ -112,19 +105,18 @@ def build_table(lo: int, hi: int, base: Optional[np.ndarray] = None) -> BlockTab
 def _table_stream(lo: int, hi: int, jobs: int) -> Iterator[BlockTable]:
     """Yield the tables of Config.BLOCK_SIZE blocks covering the inclusive range
     [lo, hi] in order; workers keep only a bounded window live."""
-    base = _base_primes(hi + 1)
     block = Config.BLOCK_SIZE
     ranges = ((a, min(a + block, hi + 1)) for a in range(lo, hi + 1, block))
     if jobs <= 1:
         for a, b in ranges:
-            yield build_table(a, b, base)
+            yield build_table(a, b)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = deque(pool.submit(build_table, a, b, base)
+        pending = deque(pool.submit(build_table, a, b)
                         for a, b in itertools.islice(ranges, jobs + 2))
         for a, b in ranges:
             yield pending.popleft().result()
-            pending.append(pool.submit(build_table, a, b, base))
+            pending.append(pool.submit(build_table, a, b))
         while pending:
             yield pending.popleft().result()
 

@@ -59,6 +59,23 @@ def test_non_finite_number_is_usage_error(capsys, argv):
     assert "expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma22", "--step", "-1"],
+    ["lemma22", "--step", "0"],
+    ["lemma21", "--trials", "-3"],
+    ["scan", "--variant", "phi", "--sign", "+1", "--to", "100", "--jobs", "-4"],
+    ["audit", "--conjecture", "lehmer", "--to", "100", "--jobs", "0"],
+])
+def test_non_positive_count_is_usage_error(capsys, argv):
+    # a count below 1 used to print nothing, or run anyway, and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
 # ----- scan -----
 
 SCAN20 = [
@@ -285,6 +302,10 @@ def _one_entry_catalog(path, expression, domain):
     ("t**400", [1.0, 10.0]),
     ("1/(t-4)", [3.0, 5.0]),
     ("1" + "0" * 400 + "*t", [1.0, 2.0]),
+    ("(-t)**0.5", [1.0, 2.0]),
+    ("1j*t", [1.0, 2.0]),
+    ("'a'*t", [1.0, 2.0]),
+    ("log(t, 2, 3)", [1.0, 2.0]),
 ])
 def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
                                                          expression, domain):
@@ -294,6 +315,43 @@ def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("repulse: ")
     assert expression in err
+
+
+TOY_ENTRY = {"name": "toy", "kind": "closed_form", "direction": "sup_le",
+             "expression": "1/t", "domain": [1.0, 2.0], "claimed": 1.0}
+
+
+@pytest.mark.parametrize("catalog_json", [
+    [TOY_ENTRY],
+    {"version": "0.0.1", "entries": [5]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": 5}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": None}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": float("nan")}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": float("inf")}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [float("nan"), 2.0]}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [1.0, float("nan")]}]},
+])
+def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, catalog_json):
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps(catalog_json))  # NaN and Infinity as JSON extensions
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("repulse: ")
+    if isinstance(catalog_json, dict) and isinstance(catalog_json["entries"][0], dict):
+        assert "'toy'" in err
+
+
+def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
+    # JSON Infinity, like null, still spells an unbounded domain
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [
+        {**TOY_ENTRY, "domain": [1.0, float("inf")], "scan_hi": 100.0,
+         "tail_note": "decreasing"}]}))
+    code, out, _ = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 0
+    row = json.loads(out)
+    assert row["domain"] == [1.0, None] and row["verdict"] == "pass"
 
 
 def test_verify_constants_huge_power_does_not_hang(tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repulse import arith, bounds, primes, search
 from repulse.search import (
@@ -34,13 +36,34 @@ def pairs(solutions) -> list[tuple[int, int]]:
 # ----- sieve correctness -----
 
 
-def test_block_table_matches_naive_loop():
+def assert_table_matches_oracle(lo: int, hi: int) -> None:
     # oracle equivalence: the sieve must reproduce a direct per-integer loop
-    tbl = build_table(2, NAIVE_LIMIT + 1)
-    for i, n in enumerate(range(2, NAIVE_LIMIT + 1)):
-        row = (int(tbl.phi[i]), int(tbl.uphi[i]), int(tbl.psi[i]),
-               int(tbl.usigma[i]), int(tbl.omega[i]), int(tbl.n1[i]))
-        assert row == naive_profile_row(n), f"sieve disagrees at n={n}"
+    tbl = build_table(lo, hi)
+    assert tbl.n.tolist() == list(range(lo, hi))
+    rows = zip(tbl.phi.tolist(), tbl.uphi.tolist(), tbl.psi.tolist(),
+               tbl.usigma.tolist(), tbl.omega.tolist(), tbl.n1.tolist())
+    for n, row in zip(range(lo, hi), rows):
+        assert row == naive_profile_row(n), f"sieve disagrees at n={n} in [{lo}, {hi})"
+
+
+def test_block_table_matches_naive_loop():
+    assert_table_matches_oracle(2, NAIVE_LIMIT + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lo=st.integers(2, 10**9 - 512), width=st.integers(1, 512))
+def test_block_table_at_height_matches_oracle(lo, width):
+    # large lo puts base primes near sqrt(1e9) and high prime powers in play
+    assert_table_matches_oracle(lo, lo + width)
+
+
+@pytest.mark.parametrize("center", [
+    2**29, 3**18, 5**12, 7**10,
+    31601**2, 31607**2,  # squares of the largest base primes below sqrt(1e9)
+    search.Config.MAX_SCAN_LIMIT - 255,  # the window ending at the scan limit
+])
+def test_block_table_windows_straddling_prime_powers(center):
+    assert_table_matches_oracle(center - 256, center + 256)
 
 
 def test_block_table_block_boundaries():

@@ -21,6 +21,8 @@ class Factorization:
 
     The empty sequence represents 1.  `value` always equals the product of the
     prime powers and may exceed machine range for externally built inputs.
+    Every prime is proven by primes.is_prime, so a prime at or above
+    primes.MR_LIMIT raises ValueError.
     """
 
     pairs: tuple[tuple[int, int], ...]

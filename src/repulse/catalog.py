@@ -199,7 +199,9 @@ class ConstantCheck:
         """Build an entry from its JSON object; a malformed one raises ValueError.
 
         A null or infinite upper domain end means an unbounded domain; a
-        non-finite claim or lower end, or a NaN upper end, is malformed.
+        non-finite claim or lower end, or a NaN upper end, is malformed, and
+        so is a scan_hi that is neither null nor a finite number above the
+        lower end.
         """
         name = d.get("name") if isinstance(d, dict) else d
         try:
@@ -228,6 +230,11 @@ class ConstantCheck:
         finite = math.isfinite(entry.claimed) and math.isfinite(entry.domain_lo)
         if not finite or math.isnan(entry.domain_hi):
             raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
+        scan_hi = entry.scan_hi
+        if scan_hi is not None and not (type(scan_hi) in (int, float) and math.isfinite(scan_hi)
+                                        and scan_hi > entry.domain_lo):
+            raise ValueError(f"catalog entry {name!r} has scan_hi {scan_hi!r}; "
+                             "it must be null or a finite number above the domain start")
         return entry
 
 
@@ -245,6 +252,28 @@ class Catalog:
         raise KeyError(f"no catalog entry named {name!r}")
 
 
+def _valid_tolerance(value: object) -> float:
+    """A verdict tolerance: a finite number >= 0, else ValueError."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")
+    return tol
+
+
+def _valid_grid(value: object) -> int:
+    """A grid size: an integer >= 2, since the scan keeps both domain ends."""
+    try:
+        grid = int(value)
+    except (TypeError, ValueError, OverflowError):
+        grid = 0
+    if grid != value or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {value!r}")
+    return grid
+
+
 def load_catalog(path: Optional[str] = None) -> Catalog:
     """Load the packaged default catalog, or a JSON file override."""
     if path is None:
@@ -257,14 +286,16 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
     raw = json.loads(text)
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ValueError("catalog must be a JSON object with an 'entries' list")
+    if "version" not in raw:
+        raise ValueError("catalog has no 'version' key")
     entries = tuple(ConstantCheck.from_json(d) for d in raw["entries"])
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise ValueError("catalog entry names are not unique")
     return Catalog(
         version=raw["version"],
-        tolerance=float(raw.get("tolerance", DEFAULT_TOLERANCE)),
-        default_grid=int(raw.get("default_grid", DEFAULT_GRID)),
+        tolerance=_valid_tolerance(raw.get("tolerance", DEFAULT_TOLERANCE)),
+        default_grid=_valid_grid(raw.get("default_grid", DEFAULT_GRID)),
         entries=entries,
     )
 
@@ -409,7 +440,9 @@ def verify_constant(
     unbounded = math.isinf(entry.domain_hi)
     if unbounded and not entry.tail_note:
         return replace(entry, verdict="unverifiable-by-grid")
-    scan_hi = entry.scan_hi or (DEFAULT_SCAN_HI if unbounded else entry.domain_hi)
+    scan_hi = entry.scan_hi
+    if scan_hi is None:
+        scan_hi = DEFAULT_SCAN_HI if unbounded else entry.domain_hi
     scan_hi = min(scan_hi, entry.domain_hi)
     best, at = _scan_extremum(fn, entry.domain_lo, scan_hi, grid, maximize)
     if unbounded:
@@ -454,8 +487,8 @@ def verify_all(
 ) -> List[ConstantCheck]:
     """Verify every entry (or the named subset), sorted by entry name."""
     cat = catalog or load_catalog()
-    tol = cat.tolerance if tolerance is None else tolerance
-    res = grid or cat.default_grid
+    tol = _valid_tolerance(cat.tolerance if tolerance is None else tolerance)
+    res = _valid_grid(cat.default_grid if grid is None else grid)
     selected = cat.entries
     if names is not None:
         wanted = set(names)

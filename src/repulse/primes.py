@@ -16,8 +16,11 @@ class Config:
     MAX_ENUMERATION = 1_000_000_000      # refuse to enumerate primes past this
 
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24 (> 2**63).
+# Witness set making Miller-Rabin deterministic for all n < MR_LIMIT, the
+# least strong pseudoprime to all twelve bases, psi_12 (about 3.2e23 > 2**78;
+# Sorenson & Webster, Math. Comp. 86, 2017).  Base 41 would extend it to psi_13.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 318665857834031151167461
 
 
 # ----- cached small sieve -----
@@ -100,9 +103,15 @@ def iter_primes(lo: int, hi: int) -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for n < MR_LIMIT (about 3.2e23).
+
+    The answer is proven for every n below MR_LIMIT; from there on it
+    would not be, so a larger n raises ValueError.
+    """
     if n < 2:
         return False
+    if n >= MR_LIMIT:
+        raise ValueError(f"primality is proven only below {MR_LIMIT}, got {n}")
     for p in MR_BASES:
         if n % p == 0:
             return n == p

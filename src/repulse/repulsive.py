@@ -23,7 +23,11 @@ EXACT_PRODUCT_LIMIT = 64  # sets at most this large also get an exact rational p
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """A candidate a-self-repulsive set with its repulsion parameter and cutoff."""
+    """A candidate a-self-repulsive set with its repulsion parameter and cutoff.
+
+    Every member is proven prime by primes.is_prime, so a member at or above
+    primes.MR_LIMIT raises ValueError.
+    """
 
     a: int
     primes: tuple[int, ...]

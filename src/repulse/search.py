@@ -8,6 +8,10 @@ and yields solutions as a sorted stream.  On top of the scanner sit two
 divisibility audits (the classical composite-totient-divisor question and
 its unitary analogue) and the constructor for the known family built from
 Fermat primes.
+
+Each query sieves only the columns it reads: a scan its variant's column
+plus phi for the prime flag, an audit its own column, over the odd n only,
+since parity settles the even n in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .bounds import TOTIENT_VARIANTS, VARIANTS
 
 
 class Config:
-    BLOCK_SIZE = 1 << 20          # sieve block length
+    BLOCK_SIZE = 1 << 20          # rows per sieve block
     MAX_SCAN_LIMIT = 10**9        # scans refuse ranges beyond this
     MIN_M_TOTIENT = 2             # default multiplier floor (m = 1 means n prime)
     MIN_M_UNIT_OFFSET = 1         # psi / unitary sigma: m = 1 is the prime-power family
@@ -39,84 +43,115 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 # ----- block sieve -----
 
+COLUMNS = ("phi", "uphi", "psi", "usigma", "omega", "n1")
+
+# Multiplicative columns: f(p**e) from p and d = p**(e-1), and f(r) for the
+# leftover cofactor r, which is a prime with exponent 1 or else 1.
+_MULTIPLICATIVE = {
+    "phi": (lambda p, d: d * (p - 1), lambda r: np.maximum(r - 1, 1)),
+    "uphi": (lambda p, d: d * p - 1, lambda r: np.maximum(r - 1, 1)),
+    "psi": (lambda p, d: d * (p + 1), lambda r: r + (r > 1)),
+    "usigma": (lambda p, d: d * p + 1, lambda r: r + (r > 1)),
+    "n1": (lambda p, d: np.where(d == 1, p, 1), lambda r: r),
+}
+
 
 @dataclass(frozen=True)
 class BlockTable:
-    """Multiplicative-function values for every n in [lo, hi); column i is lo + i."""
+    """Multiplicative-function values on a block; row i is n[i].
+
+    Rows run over every n in [lo, hi) (n = lo + i) or, in the odd layout,
+    over the odd n only (n = lo + 2i).  A column that was not requested
+    from build_table is None.
+    """
 
     lo: int
     hi: int
     n: np.ndarray
-    phi: np.ndarray
-    uphi: np.ndarray
-    psi: np.ndarray
-    usigma: np.ndarray
-    omega: np.ndarray
-    n1: np.ndarray  # product of primes dividing n exactly once
+    phi: Optional[np.ndarray] = None
+    uphi: Optional[np.ndarray] = None
+    psi: Optional[np.ndarray] = None
+    usigma: Optional[np.ndarray] = None
+    omega: Optional[np.ndarray] = None
+    n1: Optional[np.ndarray] = None  # product of primes dividing n exactly once
 
 
-def build_table(lo: int, hi: int) -> BlockTable:
-    """Sieve phi, phi*, psi, sigma*, omega and the unit-exponent kernel n1 on [lo, hi).
+def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
+                odd: bool = False) -> BlockTable:
+    """Sieve the requested columns of phi, phi*, psi, sigma*, omega and the
+    unit-exponent kernel n1 on [lo, hi), over every n or (odd) the odd n only.
 
-    Each prime p <= sqrt(hi - 1) updates its multiples through strided slices;
-    any n < hi has at most one prime factor above that, left over at the end.
+    Row i is n = lo + step*i, step 1 or 2.  The multiples of p**k sit at the
+    rows i = -lo * step**-1 (mod p**k), so each prime p <= sqrt(hi - 1)
+    updates its multiples through strided slices in either layout; the odd
+    layout skips p = 2.  Any n < hi has at most one prime factor above
+    sqrt(hi - 1), left over at the end.
     """
+    columns = set(columns)
+    if not columns <= set(COLUMNS):
+        raise ValueError(f"unknown columns {sorted(columns - set(COLUMNS))}")
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"range end {hi - 1} exceeds limit {Config.MAX_SCAN_LIMIT}")
-    size = hi - lo
-    n = np.arange(lo, hi, dtype=np.int64)
-    rem = n.copy()
-    phi = np.ones(size, dtype=np.int64)
-    uphi = np.ones(size, dtype=np.int64)
-    psi = np.ones(size, dtype=np.int64)
-    usig = np.ones(size, dtype=np.int64)
-    n1 = np.ones(size, dtype=np.int64)
-    omega = np.zeros(size, dtype=np.int16)
+    if odd and lo % 2 == 0:
+        raise ValueError(f"the odd layout needs an odd lo, got {lo}")
+    step = 2 if odd else 1
+
+    def first_row(m: int) -> int:  # the first row whose n is a multiple of m
+        return -lo * pow(step, -1, m) % m
+
+    n = np.arange(lo, hi, step, dtype=np.int64)
+    size = n.size
+    done = np.ones(size, dtype=np.int64)  # the part of n factored so far
+    updates = [(c, *_MULTIPLICATIVE[c]) for c in COLUMNS if c in columns and c != "omega"]
+    cols = {c: np.ones(size, dtype=np.int64) for c, _, _ in updates}
+    omega = np.zeros(size, dtype=np.int16) if "omega" in columns else None
     for p in primes.primes_up_to(math.isqrt(hi - 1)).tolist():
-        first = -lo % p
+        if odd and p == 2:
+            continue
+        first = first_row(p)
         if first >= size:
             continue
         s = slice(first, None, p)
-        q = np.full(len(range(first, size, p)), p, dtype=np.int64)  # p**e exactly dividing n
+        # d = p**(e-1) where p**e exactly divides n; the scalar 1 while no row has e >= 2
         pk = p * p
-        while (f := -lo % pk) < size:
-            q[(f - first) // p::pk // p] *= p
+        f = first_row(pk)
+        d = np.ones(len(range(first, size, p)), dtype=np.int64) if f < size else 1
+        while f < size:
+            d[(f - first) // p::pk // p] *= p
             pk *= p
-        rem[s] //= q
-        phi[s] *= q // p * (p - 1)
-        uphi[s] *= q - 1
-        psi[s] *= q // p * (p + 1)
-        usig[s] *= q + 1
-        n1[s] *= np.where(q == p, p, 1)
-        omega[s] += 1
-    big = rem > 1  # leftover cofactor is a prime with exponent 1
-    phi *= np.maximum(rem - 1, 1)
-    uphi *= np.maximum(rem - 1, 1)
-    psi *= rem + big
-    usig *= rem + big
-    n1 *= rem
-    omega += big
-    return BlockTable(lo=lo, hi=hi, n=n, phi=phi, uphi=uphi, psi=psi,
-                      usigma=usig, omega=omega, n1=n1)
+            f = first_row(pk)
+        done[s] *= d * p
+        for c, prime_power, _ in updates:
+            cols[c][s] *= prime_power(p, d)
+        if omega is not None:
+            omega[s] += 1
+    rem = n // done
+    for c, _, leftover in updates:
+        cols[c] *= leftover(rem)
+    if omega is not None:
+        omega += rem > 1
+    return BlockTable(lo=lo, hi=hi, n=n, omega=omega, **cols)
 
 
-def _table_stream(lo: int, hi: int, jobs: int) -> Iterator[BlockTable]:
-    """Yield the tables of Config.BLOCK_SIZE blocks covering the inclusive range
-    [lo, hi] in order; workers keep only a bounded window live."""
-    block = Config.BLOCK_SIZE
-    ranges = ((a, min(a + block, hi + 1)) for a in range(lo, hi + 1, block))
+def _table_stream(lo: int, hi: int, jobs: int, columns: Collection[str] = COLUMNS,
+                  odd: bool = False) -> Iterator[BlockTable]:
+    """Yield the tables of blocks of Config.BLOCK_SIZE rows covering the inclusive
+    range [lo, hi] in order; build_table gets `columns` and `odd` as they are.
+    Workers keep only a bounded window live."""
+    span = Config.BLOCK_SIZE * (2 if odd else 1)
+    ranges = ((a, min(a + span, hi + 1)) for a in range(lo, hi + 1, span))
     if jobs <= 1:
         for a, b in ranges:
-            yield build_table(a, b)
+            yield build_table(a, b, columns, odd)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = deque(pool.submit(build_table, a, b)
+        pending = deque(pool.submit(build_table, a, b, columns, odd)
                         for a, b in itertools.islice(ranges, jobs + 2))
         for a, b in ranges:
             yield pending.popleft().result()
-            pending.append(pool.submit(build_table, a, b))
+            pending.append(pool.submit(build_table, a, b, columns, odd))
         while pending:
             yield pending.popleft().result()
 
@@ -173,7 +208,9 @@ def default_min_m(variant: str) -> int:
 
 
 def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
-                min_m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                min_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of tbl whose n solves the variant equation with a multiplier
+    >= min_m, and those multipliers; reads tbl.n and the variant's column."""
     if variant in TOTIENT_VARIANTS:
         den = tbl.phi if variant == "phi" else tbl.uphi
         num = tbl.n + sign
@@ -184,10 +221,7 @@ def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
     hit = np.flatnonzero(num % den == 0)
     m = num[hit] // den[hit]
     keep = m >= min_m
-    hit, m = hit[keep], m[keep]
-    n = tbl.n[hit]
-    # n is prime iff phi(n) = n - 1; lets the flood of prime solutions skip factor()
-    return n, m, tbl.phi[hit] == n - 1
+    return hit[keep], m[keep]
 
 
 def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
@@ -211,8 +245,11 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     lo = max(lo, 2)
     if hi < lo:
         return
-    for tbl in _table_stream(lo, hi, jobs):
-        ns, ms, prime_flags = _hit_arrays(tbl, variant, sign, min_m)
+    for tbl in _table_stream(lo, hi, jobs, (variant, "phi")):
+        hit, ms = _hit_arrays(tbl, variant, sign, min_m)
+        ns = tbl.n[hit]
+        # n is prime iff phi(n) = n - 1; lets the flood of prime solutions skip factor()
+        prime_flags = tbl.phi[hit] == ns - 1
         for n, m, pf in zip(ns.tolist(), ms.tolist(), prime_flags.tolist()):
             yield _make_solution(n, m, variant, sign, prime_hint=pf)
 
@@ -251,9 +288,17 @@ class AuditReport:
 
 
 def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
-    # The audit is the variant/-1 equation with min_m = 1.  Its family is the
-    # m = 1 hits: phi(n) = n - 1 iff n is prime, and phi*(n) = n - 1 iff n is a
-    # prime power, since (a - 1)(b - 1) < ab - 1 for coprime a, b >= 2.
+    """The variant/-1 equation with min_m = 1, sieved over the odd n only.
+
+    The family is the m = 1 hits: phi(n) = n - 1 iff n is prime, and
+    phi*(n) = n - 1 iff n is a prime power, since (a - 1)(b - 1) < ab - 1 for
+    coprime a, b >= 2.  Parity settles the even n (Lehmer, Bull. AMS 38,
+    1932): for even n >= 4, phi(n) is even and n - 1 is odd, so only n = 2
+    has phi(n) | n - 1; for even n that is not a power of 2, phi*(n) has the
+    even factor p^e - 1 of an odd prime power p^e || n, and n - 1 is odd, so
+    only the powers of 2 have phi*(n) | n - 1.  Both are family members,
+    counted in closed form; the table reads only the variant's own column.
+    """
     if hi > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
     t0 = time.perf_counter()
@@ -261,11 +306,12 @@ def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
     hits: list[Solution] = []
     family_count = 0
     if hi >= 2:
-        for tbl in _table_stream(2, hi, jobs):
-            ns, ms, _ = _hit_arrays(tbl, variant, -1, 1)
+        family_count = 1 if variant == "phi" else hi.bit_length() - 1  # 2, or 2, 4, ..., <= hi
+        for tbl in _table_stream(3, hi, jobs, (variant,), odd=True):
+            hit, ms = _hit_arrays(tbl, variant, -1, 1)
             one = ms == 1
             family_count += int(np.count_nonzero(one))
-            for n, m in zip(ns[~one].tolist(), ms[~one].tolist()):
+            for n, m in zip(tbl.n[hit[~one]].tolist(), ms[~one].tolist()):
                 hits.append(_make_solution(n, m, variant, -1))
     family = "prime" if conjecture == "lehmer" else "prime-power"
     return AuditReport(conjecture=conjecture, hi=hi, counterexamples=tuple(hits),

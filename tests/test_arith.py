@@ -115,6 +115,13 @@ def test_factorization_validation():
         Factorization(pairs=((2, 1),), value=3)  # value mismatch
 
 
+@pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981])
+def test_from_pairs_rejects_composites_beyond_proven_bound(n):
+    # psi_12 and psi_13 pass Miller-Rabin to bases 2..37 but are composite
+    with pytest.raises(ValueError, match="proven only below"):
+        from_pairs([(n, 1)])
+
+
 # ----- function values -----
 
 

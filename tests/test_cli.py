@@ -203,6 +203,17 @@ def test_sieve_malformed_set_is_usage_error(capsys, tmp_path):
     assert "cutoff" in err
 
 
+@pytest.mark.parametrize("member", [318665857834031151167461, 3317044064679887385961981])
+def test_sieve_composite_beyond_proven_bound_is_usage_error(capsys, tmp_path, member):
+    # psi_12 and psi_13 pass Miller-Rabin to bases 2..37 but are composite
+    setfile = tmp_path / "u.json"
+    setfile.write_text(json.dumps({"a": 1, "primes": [3, member], "cutoff": 1e25}))
+    code, out, err = run(capsys, "sieve", "--x", "100", "--w", "10", "--set", str(setfile))
+    assert code == 2
+    assert out == ""
+    assert "proven only below" in err
+
+
 # ----- lemma trials -----
 
 
@@ -352,6 +363,34 @@ def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
     assert code == 0
     row = json.loads(out)
     assert row["domain"] == [1.0, None] and row["verdict"] == "pass"
+
+
+TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}
+
+
+@pytest.mark.parametrize("catalog_json, argv, message", [
+    # a grid of one point used to hold only the domain end: sup 0.5 of 1/t
+    # on [1, 2] and a wrong pass; a grid of 0 fell back to the default
+    (TOY_CATALOG, ["--grid", "1"], "grid must be an integer >= 2"),
+    (TOY_CATALOG, ["--grid", "0"], "grid must be an integer >= 2"),
+    ({**TOY_CATALOG, "default_grid": 1}, [], "grid must be an integer >= 2"),
+    # NaN or a negative tolerance used to give exceed at margin 0.0, exit 1
+    ({**TOY_CATALOG, "tolerance": float("nan")}, [], "tolerance must be"),
+    (TOY_CATALOG, ["--tolerance", "-1"], "tolerance must be"),
+    # used to raise a TypeError traceback
+    ({**TOY_CATALOG, "entries": [{**TOY_ENTRY, "scan_hi": "a"}]}, [], "scan_hi 'a'"),
+    # used to print only "repulse: version"
+    ({"entries": [TOY_ENTRY]}, [], "no 'version' key"),
+], ids=["grid-1", "grid-0", "default-grid-1", "tolerance-nan", "tolerance-negative",
+        "scan-hi-string", "missing-version"])
+def test_verify_constants_bad_setting_is_usage_error(capsys, tmp_path, catalog_json, argv,
+                                                     message):
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps(catalog_json))
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 def test_verify_constants_huge_power_does_not_hang(tmp_path):

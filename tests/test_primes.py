@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repulse.primes import Config, is_prime, iter_primes, primes_up_to
+from repulse.primes import MR_LIMIT, Config, is_prime, iter_primes, primes_up_to
 
 SMALL = Config.SMALL_SIEVE_LIMIT
 SEG = Config.SEGMENT_SIZE
@@ -28,6 +28,29 @@ def test_examples():
 def test_is_prime_examples():
     assert is_prime(2) and is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+PSI12 = 318665857834031151167461   # = 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981  # strong pseudoprimes to bases 2..37 (and 2..41)
+
+
+@pytest.mark.parametrize("n", [PSI12, PSI13, PSI12 + 2, 2**100 + 277])
+def test_is_prime_refuses_beyond_proven_bound(n):
+    # bases 2..37 are proven only below psi_12; PSI12 itself passes all of them
+    with pytest.raises(ValueError, match=str(MR_LIMIT)):
+        is_prime(n)
+
+
+def test_is_prime_just_below_proven_bound():
+    assert MR_LIMIT == PSI12
+    assert is_prime(MR_LIMIT - 2) == sympy.isprime(MR_LIMIT - 2)
+    assert not is_prime(MR_LIMIT - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2**64 - 2**32, 2**64 + 2**32) | st.integers(2**60, 2**70))
+def test_is_prime_matches_sympy_around_2_64(n):
+    assert is_prime(n) == sympy.isprime(n)
 
 
 # ----- primes_up_to -----

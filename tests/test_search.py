@@ -1,5 +1,6 @@
 """Tests for the block-sieve scanner, audits, and the Fermat-prime family."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,33 @@ def pairs(solutions) -> list[tuple[int, int]]:
 # ----- sieve correctness -----
 
 
-def assert_table_matches_oracle(lo: int, hi: int) -> None:
+SINGLE_COLUMNS = [(c,) for c in search.COLUMNS]
+ALL_SUBSETS = [cols for k in range(len(search.COLUMNS) + 1)
+               for cols in itertools.combinations(search.COLUMNS, k)]
+
+
+def assert_layouts_match_full(full: BlockTable, subsets) -> None:
+    # every requested column equals the full table, on every n or, from the
+    # first odd n, on the odd n only; a column not requested is absent
+    lo, hi = full.lo, full.hi
+    for columns in subsets:
+        for odd in (False, True):
+            start = lo | 1 if odd else lo
+            if start >= hi:
+                continue
+            tbl = build_table(start, hi, columns, odd)
+            rows = slice(start - lo, None, 2 if odd else 1)
+            assert np.array_equal(tbl.n, full.n[rows])
+            for c in search.COLUMNS:
+                got = getattr(tbl, c)
+                if c in columns:
+                    assert np.array_equal(got, getattr(full, c)[rows]), \
+                        f"{c} of {columns} (odd={odd}) disagrees in [{lo}, {hi})"
+                else:
+                    assert got is None, f"{c} computed though only {columns} was asked for"
+
+
+def assert_table_matches_oracle(lo: int, hi: int, subsets=SINGLE_COLUMNS) -> None:
     # oracle equivalence: the sieve must reproduce a direct per-integer loop
     tbl = build_table(lo, hi)
     assert tbl.n.tolist() == list(range(lo, hi))
@@ -44,17 +71,19 @@ def assert_table_matches_oracle(lo: int, hi: int) -> None:
                tbl.usigma.tolist(), tbl.omega.tolist(), tbl.n1.tolist())
     for n, row in zip(range(lo, hi), rows):
         assert row == naive_profile_row(n), f"sieve disagrees at n={n} in [{lo}, {hi})"
+    assert_layouts_match_full(tbl, subsets)
 
 
 def test_block_table_matches_naive_loop():
-    assert_table_matches_oracle(2, NAIVE_LIMIT + 1)
+    assert_table_matches_oracle(2, NAIVE_LIMIT + 1, ALL_SUBSETS)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(lo=st.integers(2, 10**9 - 512), width=st.integers(1, 512))
-def test_block_table_at_height_matches_oracle(lo, width):
+@given(lo=st.integers(2, 10**9 - 512), width=st.integers(1, 512),
+       columns=st.sets(st.sampled_from(search.COLUMNS)))
+def test_block_table_at_height_matches_oracle(lo, width, columns):
     # large lo puts base primes near sqrt(1e9) and high prime powers in play
-    assert_table_matches_oracle(lo, lo + width)
+    assert_table_matches_oracle(lo, lo + width, [*SINGLE_COLUMNS, tuple(columns)])
 
 
 @pytest.mark.parametrize("center", [
@@ -63,7 +92,7 @@ def test_block_table_at_height_matches_oracle(lo, width):
     search.Config.MAX_SCAN_LIMIT - 255,  # the window ending at the scan limit
 ])
 def test_block_table_windows_straddling_prime_powers(center):
-    assert_table_matches_oracle(center - 256, center + 256)
+    assert_table_matches_oracle(center - 256, center + 256, ALL_SUBSETS)
 
 
 def test_block_table_block_boundaries():
@@ -83,6 +112,10 @@ def test_block_table_validation():
         build_table(10, 10)
     with pytest.raises(ValueError):
         build_table(2, search.Config.MAX_SCAN_LIMIT + 2)
+    with pytest.raises(ValueError):
+        build_table(10, 20, odd=True)  # the odd layout starts at an odd n
+    with pytest.raises(ValueError):
+        build_table(2, 10, ("phi", "sigma"))
 
 
 def test_audit_family_identities():
@@ -290,6 +323,41 @@ def test_audit_report_json():
     assert js["hi"] == "100"
     assert js["counterexamples"] == []
     assert isinstance(js["wall_time"], float)
+
+
+def audit_by_full_table(full: BlockTable, variant: str, hi: int) -> tuple[int, list[int]]:
+    # the audit counted over every n in [2, hi] of a full table starting at 2
+    n = full.n[:max(hi - 1, 0)]
+    den = getattr(full, variant)[:n.size]
+    divides = (n - 1) % den == 0
+    family = divides & (den == n - 1)
+    return int(np.count_nonzero(family)), n[divides & ~family].tolist()
+
+
+@pytest.mark.parametrize("audit, variant", [(lehmer_audit, "phi"), (subbarao_audit, "uphi")])
+def test_odd_only_audits_match_full_table(audit, variant):
+    # the audits sieve odd n only and add n = 2, or the powers of 2, in
+    # closed form; the parity argument must hold for every hi
+    full = build_table(2, 10**6 + 1)
+    for hi in [*range(1, 301), 10**6]:
+        rep = audit(hi)
+        want = audit_by_full_table(full, variant, hi)
+        assert (rep.family_count, [s.n for s in rep.counterexamples]) == want, hi
+
+
+def test_queries_sieve_only_the_columns_they_read(monkeypatch):
+    calls = []
+    real = search.build_table
+
+    def spy(lo, hi, columns=search.COLUMNS, odd=False):
+        calls.append((tuple(columns), odd))
+        return real(lo, hi, columns, odd)
+
+    monkeypatch.setattr(search, "build_table", spy)
+    lehmer_audit(1000)
+    subbarao_audit(1000)
+    list(scan(2, 1000, "psi", 1))
+    assert calls == [(("phi",), True), (("uphi",), True), (("psi", "phi"), False)]
 
 
 # ----- Fermat-prime family -----

@@ -21,8 +21,9 @@ class Factorization:
 
     The empty sequence represents 1.  `value` always equals the product of the
     prime powers and may exceed machine range for externally built inputs.
-    Every prime is proven by primes.is_prime, so a prime at or above
-    primes.MR_LIMIT raises ValueError.
+    The constructor and from_pairs validate: every prime is proven by
+    primes.is_prime, so a prime at or above primes.MR_LIMIT raises ValueError.
+    factor() proves its primes as it finds them and skips this (see _proven).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -51,6 +52,13 @@ def from_pairs(pairs) -> Factorization:
     for p, e in tup:
         value *= p**e
     return Factorization(pairs=tup, value=value)
+
+
+def _proven(pairs: tuple[tuple[int, int], ...], value: int) -> Factorization:
+    """Factorization from canonical pairs of already proven primes, unvalidated."""
+    f = object.__new__(Factorization)
+    f.__dict__.update(pairs=pairs, value=value)
+    return f
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ def _split(n: int) -> int:
 
 
 def _factor_tail(n: int, out: dict[int, int]) -> None:
-    # n has no prime factor <= SMALL_SIEVE_LIMIT here.
+    # n has no prime factor <= min(SMALL_SIEVE_LIMIT, sqrt(n)) here.
     if n == 1:
         return
     if n <= (primes.Config.SMALL_SIEVE_LIMIT + 1) ** 2 or primes.is_prime(n):
@@ -124,7 +132,9 @@ def _factor_tail(n: int, out: dict[int, int]) -> None:
 
 
 def factor(n: int) -> Factorization:
-    """Canonical factorization of n, for 1 <= n <= 2^63."""
+    """Canonical factorization of n, for 1 <= n <= 2^63, built with _proven:
+    each prime is proven where it is found, by the smallest-prime-factor table,
+    by trial division up to its square root, or by is_prime in _factor_tail."""
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     if n > FACTOR_LIMIT:
@@ -146,21 +156,15 @@ def factor(n: int) -> Factorization:
         # at most one prime factor can survive it.
         root = math.isqrt(rem)
         ps = primes.small_primes()[1:]
-        covers_root = root <= primes.Config.SMALL_SIEVE_LIMIT
-        if covers_root:
+        if root <= primes.Config.SMALL_SIEVE_LIMIT:
             ps = ps[:int(np.searchsorted(ps, root, side="right"))]
         for p in ps[np.int64(rem) % ps == 0]:
             p = int(p)
             while rem % p == 0:
                 exps[p] = exps.get(p, 0) + 1
                 rem //= p
-        if rem > 1:
-            if covers_root:
-                exps[rem] = exps.get(rem, 0) + 1
-            else:
-                _factor_tail(rem, exps)
-    pairs = tuple(sorted(exps.items()))
-    return Factorization(pairs=pairs, value=n)
+        _factor_tail(rem, exps)
+    return _proven(tuple(sorted(exps.items())), n)
 
 
 # ----- multiplicative functions -----

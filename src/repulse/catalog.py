@@ -83,10 +83,7 @@ _NAMESPACE: Dict[str, object] = {
     "gamma1": bounds.STIELTJES_GAMMA1,
     "pi": math.pi,
     "e": math.e,
-    "delta": bounds.delta,
-    "delta_psi": bounds.delta_psi,
-    "eta": bounds.eta,
-    "eta_psi": bounds.eta_psi,
+    **bounds._CORRECTION_FNS,
     "exp_correction": bounds.exp_correction,
     "boundary_log_count": bounds.boundary_log_count,
     "epsilon_boundary_factor": bounds.epsilon_boundary_factor,

@@ -151,12 +151,17 @@ def cmd_greedy(args: argparse.Namespace, out: IO[str]) -> int:
 def _load_prime_set(path: str) -> repulsive.PrimeSet:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    try:
-        return repulsive.PrimeSet(a=int(raw["a"]),
-                                  primes=tuple(int(p) for p in raw["primes"]),
-                                  cutoff=float(raw["cutoff"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"set file {path} needs keys a, primes, cutoff: {exc}")
+    if not isinstance(raw, dict) or not {"a", "primes", "cutoff"} <= raw.keys():
+        raise ValueError(f"set file {path} needs keys a, primes, cutoff")
+    a, members, cutoff = raw["a"], raw["primes"], raw["cutoff"]
+    # type() is exact, so a bool (an int subclass) is refused as a number
+    if type(a) is not int:
+        raise ValueError(f"set file {path}: a must be an integer, got {a!r}")
+    if type(members) is not list or any(type(p) is not int for p in members):
+        raise ValueError(f"set file {path}: primes must be a list of integers")
+    if type(cutoff) not in (int, float):
+        raise ValueError(f"set file {path}: cutoff must be a number, got {cutoff!r}")
+    return repulsive.PrimeSet(a=a, primes=tuple(members), cutoff=cutoff)
 
 
 def cmd_sieve(args: argparse.Namespace, out: IO[str]) -> int:
@@ -237,13 +242,7 @@ def cmd_verify_constants(args: argparse.Namespace, out: IO[str]) -> int:
     return 1 if any(c.verdict == "exceed" for c in completed) else 0
 
 
-_EVAL_ONE_ARG = {
-    "delta": bounds.delta,
-    "delta_psi": bounds.delta_psi,
-    "eta": bounds.eta,
-    "eta_psi": bounds.eta_psi,
-    "delta1": bounds.delta1,
-}
+_EVAL_ONE_ARG = {**bounds._CORRECTION_FNS, "delta1": bounds.delta1}
 
 
 def cmd_eval(args: argparse.Namespace, out: IO[str]) -> int:

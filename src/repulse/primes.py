@@ -105,11 +105,14 @@ def iter_primes(lo: int, hi: int) -> Iterator[int]:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < MR_LIMIT (about 3.2e23).
 
+    The cached sieve answers n <= SMALL_SIEVE_LIMIT, Miller-Rabin larger n.
     The answer is proven for every n below MR_LIMIT; from there on it
     would not be, so a larger n raises ValueError.
     """
     if n < 2:
         return False
+    if n <= Config.SMALL_SIEVE_LIMIT:
+        return bool(_flags()[n])
     if n >= MR_LIMIT:
         raise ValueError(f"primality is proven only below {MR_LIMIT}, got {n}")
     for p in MR_BASES:

@@ -42,7 +42,7 @@ class PrimeSet:
             if not primes.is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
-        if self.cutoff < 2:
+        if not self.cutoff >= 2:  # also refuses NaN
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.primes and self.primes[-1] > self.cutoff:
             raise ValueError(f"prime {self.primes[-1]} exceeds cutoff {self.cutoff}")

@@ -9,9 +9,9 @@ divisibility audits (the classical composite-totient-divisor question and
 its unitary analogue) and the constructor for the known family built from
 Fermat primes.
 
-Each query sieves only the columns it reads: a scan its variant's column
-plus phi for the prime flag, an audit its own column, over the odd n only,
-since parity settles the even n in closed form.
+Each query sieves only the columns it reads: a scan its variant's column,
+an audit its own column, over the odd n only, since parity settles the even
+n in closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import arith, primes
 from .arith import Factorization
-from .bounds import TOTIENT_VARIANTS, VARIANTS
+from .bounds import TOTIENT_VARIANTS, VARIANTS, _check_variant_sign
 
 
 class Config:
@@ -190,12 +190,8 @@ class Solution:
         }
 
 
-def _make_solution(n: int, m: int, variant: str, sign: int,
-                   prime_hint: bool = False) -> Solution:
-    if prime_hint:
-        f = Factorization(pairs=((n, 1),), value=n)
-    else:
-        f = arith.factor(n)
+def _make_solution(n: int, m: int, variant: str, sign: int) -> Solution:
+    f = arith.factor(n)
     return Solution(n=n, m=m, variant=variant, sign=sign,
                     factorization=f, classification=classify(f))
 
@@ -232,10 +228,7 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     variants solve m * f(n) = n + sign; psi and unitary sigma solve
     f(n) = m * n + sign.  min_m defaults per variant (see default_min_m).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_variant_sign(variant, sign)
     if hi > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
     if min_m is None:
@@ -245,13 +238,10 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     lo = max(lo, 2)
     if hi < lo:
         return
-    for tbl in _table_stream(lo, hi, jobs, (variant, "phi")):
+    for tbl in _table_stream(lo, hi, jobs, (variant,)):
         hit, ms = _hit_arrays(tbl, variant, sign, min_m)
-        ns = tbl.n[hit]
-        # n is prime iff phi(n) = n - 1; lets the flood of prime solutions skip factor()
-        prime_flags = tbl.phi[hit] == ns - 1
-        for n, m, pf in zip(ns.tolist(), ms.tolist(), prime_flags.tolist()):
-            yield _make_solution(n, m, variant, sign, prime_hint=pf)
+        for n, m in zip(tbl.n[hit].tolist(), ms.tolist()):
+            yield _make_solution(n, m, variant, sign)
 
 
 # ----- divisibility audits -----

@@ -104,6 +104,41 @@ def test_factor_is_deterministic_on_hard_semiprimes():
     assert factor(n).pairs == factor(n).pairs == ((2147483647, 1), (2147483659, 1))
 
 
+def assert_factor_matches_validated(n: int) -> None:
+    """factor(n) skips validation; the validating from_pairs must agree with it."""
+    f = factor(n)
+    assert f == from_pairs(f.pairs), n
+    assert all(type(p) is int and type(e) is int for p, e in f.pairs), f.pairs
+
+
+def test_factor_matches_validated_to_hundred_thousand():
+    for n in range(1, 100_001):
+        assert_factor_matches_validated(n)
+
+
+big_prime = st.integers(10**6, 3 * 10**9).map(sympy.nextprime)  # (3e9 + gap)**2 < 2**63
+
+
+@st.composite
+def two_power_times_prime(draw):
+    p = draw(st.integers(10**6, 2**40).map(sympy.nextprime))
+    return 2 ** draw(st.integers(1, 63 - p.bit_length())) * p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(1, 2 * 10**6),               # smallest-prime-factor table
+    st.integers(10**6, 10**12),              # trial division covers sqrt(rem)
+    st.integers(1100, 10**6).map(lambda k: sympy.prevprime(k) ** 2),  # ... up to a prime root
+    st.tuples(big_prime, big_prime).map(lambda pq: pq[0] * pq[1]),  # _factor_tail
+    big_prime.map(lambda p: p * p),          # _factor_tail, perfect square
+    two_power_times_prime(),
+    st.integers(1, 2**63),
+))
+def test_factor_matches_validated_on_every_branch(n):
+    assert_factor_matches_validated(n)
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         from_pairs([(4, 1)])            # not prime

@@ -194,13 +194,23 @@ def test_sieve_missing_file_is_io_error(capsys, tmp_path):
     assert "I/O error" in err
 
 
-def test_sieve_malformed_set_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("body, reason", [
+    pytest.param('{"primes": [3]}', "needs keys a, primes, cutoff", id="missing-keys"),
+    pytest.param('{"a": 1, "primes": [3.7, 5], "cutoff": 100}', "primes must", id="float-prime"),
+    pytest.param('{"a": 1, "primes": "35", "cutoff": 100}', "primes must", id="string-primes"),
+    pytest.param('{"a": 1.9, "primes": [3, 5], "cutoff": 100}', "a must", id="float-a"),
+    pytest.param('{"a": true, "primes": [3, 5], "cutoff": 100}', "a must", id="bool-a"),
+    pytest.param('{"a": 1, "primes": [3, 5], "cutoff": NaN}', "cutoff must", id="nan-cutoff"),
+    pytest.param('{"a": 1, "primes": [3, 5], "cutoff": "100"}', "cutoff must", id="string-cutoff"),
+])
+def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     setfile = tmp_path / "bad.json"
-    setfile.write_text('{"primes": [3]}')
-    code, _, err = run(capsys, "sieve", "--x", "10", "--w", "3",
-                       "--set", str(setfile))
+    setfile.write_text(body)
+    code, out, err = run(capsys, "sieve", "--x", "10", "--w", "3",
+                         "--set", str(setfile))
     assert code == 2
-    assert "cutoff" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and reason in err
 
 
 @pytest.mark.parametrize("member", [318665857834031151167461, 3317044064679887385961981])

@@ -30,6 +30,14 @@ def test_is_prime_examples():
     assert not is_prime(2**61 + 1)
 
 
+@pytest.mark.parametrize("lo, hi", [(-3, 3000), (SMALL - 2000, SMALL + 2000)])
+def test_is_prime_matches_sympy_across_the_sieve_edge(lo, hi):
+    # n <= SMALL reads the cached sieve, larger n run Miller-Rabin
+    for n in range(lo, hi + 1):
+        got = is_prime(n)
+        assert type(got) is bool and got == sympy.isprime(n), n
+
+
 PSI12 = 318665857834031151167461   # = 399165290221 * 798330580441
 PSI13 = 3317044064679887385961981  # strong pseudoprimes to bases 2..37 (and 2..41)
 

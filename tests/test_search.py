@@ -357,7 +357,7 @@ def test_queries_sieve_only_the_columns_they_read(monkeypatch):
     lehmer_audit(1000)
     subbarao_audit(1000)
     list(scan(2, 1000, "psi", 1))
-    assert calls == [(("phi",), True), (("uphi",), True), (("psi", "phi"), False)]
+    assert calls == [(("phi",), True), (("uphi",), True), (("psi",), False)]
 
 
 # ----- Fermat-prime family -----

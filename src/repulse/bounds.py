@@ -29,8 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-# factor is unused here but stays importable: perfbench wraps bounds.factor.
-from .arith import Factorization, factor, profile
+# factor and profile are unused here but stay importable only because
+# perfbench wraps bounds.factor and bounds.profile.
+from .arith import (Factorization, dedekind_psi, euler_phi, factor, profile,
+                    unitary_phi, unitary_sigma)
 
 # 30-digit literals: B0 = gamma^2 - 2*gamma1 must reproduce 0.478809...
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -435,23 +437,29 @@ def _check_variant_sign(variant: str, sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
+_VARIANT_FNS = {
+    "phi": euler_phi,
+    "uphi": unitary_phi,
+    "psi": dedekind_psi,
+    "usigma": unitary_sigma,
+}
+
+
 def solve_m(f: Factorization, variant: str, sign: int) -> Optional[int]:
     """Exact multiplier M of the variant equation at n = f.value, or None.
 
     Totient variants solve M * f(n) = n + sign; the psi and unitary
-    sigma variants solve f(n) = M * n + sign.  The function values come
-    from arith.profile(f).
+    sigma variants solve f(n) = M * n + sign.
     """
     _check_variant_sign(variant, sign)
-    pr = profile(f)
-    if pr.n < 2:
-        raise ValueError(f"n = {pr.n} out of range: need n >= 2")
+    n = f.value
+    if n < 2:
+        raise ValueError(f"n = {n} out of range: need n >= 2")
+    value = _VARIANT_FNS[variant](f)
     if variant in TOTIENT_VARIANTS:
-        den = pr.phi if variant == "phi" else pr.uphi
-        num = pr.n + sign
+        num, den = n + sign, value
     else:
-        num = (pr.psi if variant == "psi" else pr.usigma) - sign
-        den = pr.n
+        num, den = value - sign, n
     if num <= 0 or num % den != 0:
         return None
     return num // den
@@ -468,23 +476,17 @@ def assemble_M_exact(f: Factorization, variant: str, sign: int) -> Fraction:
     n = f.value
     if n == 1:
         raise ValueError("n = 1 has no multiplier bound")
-    if variant in TOTIENT_VARIANTS:
+    totient = variant in TOTIENT_VARIANTS
+    num = den = 1  # the product over the primes of f, as num/den
+    for p, e in f.pairs:
+        q = p if e == 1 else p * p
+        num *= q if totient else q + 1
+        den *= q - 1 if totient else q
+    if totient:
         # (1 + 1/n) multiplies the whole product: the additive split
         # 1/n + prod(...) undercounts the equality case n = 15, M = 2.
-        val = Fraction(n + 1, n)
-        for p, e in f.pairs:
-            if e == 1:
-                val *= Fraction(p, p - 1)
-            else:
-                val *= Fraction(p * p, p * p - 1)
-        return val
-    prod = Fraction(1)
-    for p, e in f.pairs:
-        if e == 1:
-            prod *= Fraction(p + 1, p)
-        else:
-            prod *= Fraction(p * p + 1, p * p)
-    return Fraction(1, n) + prod
+        return Fraction((n + 1) * num, n * den)
+    return Fraction(den + n * num, n * den)
 
 
 def assemble_M(f: Factorization, variant: str, sign: int) -> float:

@@ -167,8 +167,9 @@ def _load_prime_set(path: str) -> repulsive.PrimeSet:
 def cmd_sieve(args: argparse.Namespace, out: IO[str]) -> int:
     u = _load_prime_set(args.set)
     system = largesieve.from_prime_set(u, start=0, x_len=args.x)
-    survivors = largesieve.survivor_count(system, args.w)
+    # The bound first: it refuses an unsupported --w before the costly count.
     bound = largesieve.survivor_bound(args.x, args.w, system)
+    survivors = largesieve.survivor_count(system, args.w)
     emit_rows([{
         "x": args.x,
         "w": args.w,
@@ -215,6 +216,8 @@ def cmd_lemma21(args: argparse.Namespace, out: IO[str]) -> int:
 def cmd_lemma22(args: argparse.Namespace, out: IO[str]) -> int:
     if args.lo < 2:
         raise ValueError(f"--from must be >= 2, got {args.lo}")
+    if args.hi > largesieve.MAX_TAU_TABLE:
+        raise ValueError(f"--to must be <= {largesieve.MAX_TAU_TABLE}, got {args.hi}")
     violated = False
 
     def rows() -> Iterator[dict]:

@@ -85,34 +85,28 @@ def g_value(n: int, sys: SieveSystem) -> Fraction:
     return out
 
 
-def mg_sum(z: float, sys: SieveSystem):
-    """M_g(z) = sum of g(n) for n <= z; exact rational up to EXACT_MG_LIMIT."""
+def _mg_top(z: float) -> int:
     if z < 1:
         raise ValueError(f"mg_sum needs z >= 1, got {z}")
     top = math.floor(z)
     if top > primes.Config.SMALL_SIEVE_LIMIT:
         raise ValueError(f"mg_sum supports z <= {primes.Config.SMALL_SIEVE_LIMIT}")
+    return top
+
+
+def mg_sum(z: float, sys: SieveSystem):
+    """M_g(z) = sum of g(n) for n <= z; exact rational up to EXACT_MG_LIMIT."""
+    top = _mg_top(z)
     exact = top <= EXACT_MG_LIMIT
+    g = {p: {1: _g_factor(p, sys)} for p in map(int, primes.primes_up_to(top))}
     spf = primes.smallest_prime_factor()
-    total_exact = Fraction(1)  # n = 1 term
-    total_float = 1.0
-    for n in range(2, top + 1):
-        m = n
-        term: Optional[Fraction] = Fraction(1)
-        while m > 1:
-            p = int(spf[m])
-            m //= p
-            if m % p == 0:  # square factor
-                term = None
-                break
-            term *= _g_factor(p, sys)
-        if term is None:
-            continue
-        if exact:
-            total_exact += term
-        else:
-            total_float += float(term)
-    return total_exact if exact else total_float
+    # Left to right: the float total is 1.0 + float(g(2)) + ... in this order,
+    # which tests pin bit for bit; a non-squarefree n adds +0.0, changing no bits.
+    total = Fraction(0) if exact else 0.0
+    for n in range(1, top + 1):
+        term = _f_of(n, g, spf)
+        total += term if exact else float(term)
+    return total
 
 
 # ----- survivor counting and the sieve bound -----
@@ -122,7 +116,7 @@ def survivor_bound(x_len: float, w: float, sys: SieveSystem) -> float:
     """Upper bound (x_len + w^2) / M_g(w) for the survivor count at level w."""
     if w < 1:
         raise ValueError(f"survivor_bound needs w >= 1, got {w}")
-    for p in primes.primes_up_to(math.floor(w)):
+    for p in primes.primes_up_to(_mg_top(w)):
         p = int(p)
         if sys.rho(p) >= p:
             raise ValueError(f"rho({p}) >= {p}: sieve bound precondition fails at {p}")
@@ -199,7 +193,7 @@ def _f_of(n: int, by_p: dict[int, dict[int, Fraction]], spf: np.ndarray) -> Frac
             n //= p
             e += 1
         v = by_p.get(p, {}).get(e)
-        if v is None or v == 0:
+        if not v:
             return Fraction(0)
         out *= v
     return out
@@ -207,20 +201,7 @@ def _f_of(n: int, by_p: dict[int, dict[int, Fraction]], spf: np.ndarray) -> Frac
 
 def restricted_sum(f_table: Mapping, u: Iterable[int], x: float) -> Fraction:
     """Sum of the multiplicative f(n) over n <= x coprime to every prime in u."""
-    top = math.floor(x)
-    if top < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    if top > primes.Config.SMALL_SIEVE_LIMIT:
-        raise ValueError(f"restricted_sum supports x <= {primes.Config.SMALL_SIEVE_LIMIT}")
-    by_p = _normalize_table(f_table)
-    u_set = set(int(p) for p in u)
-    spf = primes.smallest_prime_factor()
-    total = Fraction(1)  # n = 1
-    for n in range(2, top + 1):
-        if any(n % p == 0 for p in u_set):
-            continue
-        total += _f_of(n, by_p, spf)
-    return total
+    return lemma21_check(f_table, u, x).lhs
 
 
 def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
@@ -232,14 +213,20 @@ def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
     the tabulated partial sum and be finite).
     """
     top = math.floor(x)
+    if top < 1:
+        raise ValueError(f"need x >= 1, got {x}")
+    if top > primes.Config.SMALL_SIEVE_LIMIT:
+        raise ValueError(f"restricted_sum supports x <= {primes.Config.SMALL_SIEVE_LIMIT}")
     by_p = _normalize_table(f_table)
     u_set = sorted(set(int(p) for p in u))
     spf = primes.smallest_prime_factor()
 
-    lhs = restricted_sum(f_table, u_set, x)
-    full = Fraction(1)
+    lhs = full = Fraction(1)  # n = 1
     for n in range(2, top + 1):
-        full += _f_of(n, by_p, spf)
+        term = _f_of(n, by_p, spf)
+        full += term
+        if all(n % p for p in u_set):
+            lhs += term
 
     tail_factors: dict[int, Fraction] = {}
     for p in u_set:
@@ -283,9 +270,12 @@ _tau_ratio_cumsum: Optional[np.ndarray] = None
 def _tau_table() -> np.ndarray:
     global _tau_cache
     if _tau_cache is None:
+        # Hyperbola identity, as in divisor_summatory: each d <= sqrt(n)
+        # dividing n pairs with n/d >= d, counted once when n = d^2.
         counts = np.zeros(MAX_TAU_TABLE + 1, dtype=np.int32)
-        for d in range(1, MAX_TAU_TABLE + 1):
-            counts[d::d] += 1
+        for d in range(1, math.isqrt(MAX_TAU_TABLE) + 1):
+            counts[d * d::d] += 2
+            counts[d * d] -= 1
         _tau_cache = counts
     return _tau_cache
 

@@ -467,20 +467,32 @@ def test_assemble_rejections():
         assemble_M_exact(factor(12), "tau", 1)
 
 
+def per_prime_assembled_bound(f, variant):
+    """assemble_M_exact built the long way, one Fraction per prime."""
+    n = f.value
+    if variant in ("phi", "uphi"):
+        val = Fraction(n + 1, n)
+        for p, e in f.pairs:
+            val *= Fraction(p, p - 1) if e == 1 else Fraction(p * p, p * p - 1)
+        return val
+    prod = Fraction(1)
+    for p, e in f.pairs:
+        prod *= Fraction(p + 1, p) if e == 1 else Fraction(p * p + 1, p * p)
+    return Fraction(1, n) + prod
+
+
 def test_assemble_dominates_exact_m_small_range():
     hits = 0
     for n in range(2, 5001):
         f = factor(n)
         for variant in ("phi", "uphi", "psi", "usigma"):
             for sign in (1, -1):
+                bound = assemble_M_exact(f, variant, sign)
+                assert bound == per_prime_assembled_bound(f, variant), (n, variant, sign)
                 m = solve_m(f, variant, sign)
                 if m is not None and m >= 1:
                     hits += 1
-                    assert Fraction(m) <= assemble_M_exact(f, variant, sign), (
-                        n,
-                        variant,
-                        sign,
-                    )
+                    assert Fraction(m) <= bound, (n, variant, sign)
     assert hits > 2000  # primes and prime powers alone guarantee plenty
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repulse import cli
+from repulse import cli, largesieve
 
 
 def run(capsys, *argv):
@@ -213,6 +213,19 @@ def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     assert len(err.splitlines()) == 1 and reason in err
 
 
+def test_sieve_refuses_large_w_before_counting(capsys, tmp_path, monkeypatch):
+    def count_not_expected(*args):
+        raise AssertionError("survivor_count ran before --w was checked")
+
+    monkeypatch.setattr(largesieve, "survivor_count", count_not_expected)
+    setfile = tmp_path / "u.json"
+    setfile.write_text('{"a": 1, "primes": [3, 5], "cutoff": 100}')
+    code, out, err = run(capsys, "sieve", "--x", "1e4", "--w", "3e7", "--set", str(setfile))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "mg_sum supports" in err
+
+
 @pytest.mark.parametrize("member", [318665857834031151167461, 3317044064679887385961981])
 def test_sieve_composite_beyond_proven_bound_is_usage_error(capsys, tmp_path, member):
     # psi_12 and psi_13 pass Miller-Rabin to bases 2..37 but are composite
@@ -249,9 +262,13 @@ def test_lemma22_stream(capsys):
 
 
 def test_lemma22_low_start_rejected(capsys):
-    code, _, err = run(capsys, "lemma22", "--from", "1", "--to", "10")
-    assert code == 2
-    assert "--from" in err
+    # both bounds are refused before any row is written
+    for bounds, flag in ((("--from", "1", "--to", "10"), "--from"),
+                         (("--from", "999999", "--to", "2e6"), "--to")):
+        code, out, err = run(capsys, "lemma22", *bounds)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
 
 # ----- verify-constants -----

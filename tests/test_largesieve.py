@@ -9,6 +9,7 @@ import pytest
 
 from repulse.largesieve import (
     EULER_GAMMA,
+    EXACT_MG_LIMIT,
     SieveSystem,
     b0_estimate,
     divisor_summatory,
@@ -22,6 +23,7 @@ from repulse.largesieve import (
     survivor_bound,
     survivor_count,
     tau_ratio_sum,
+    _tau_table,
 )
 from repulse.primes import primes_up_to
 from repulse.repulsive import PrimeSet, greedy_construct
@@ -62,6 +64,18 @@ def test_mg_examples():
     assert mg_sum(3, EMPTY) == Fraction(5, 2)
     assert mg_sum(1, U3) == 1
     assert mg_sum(6, U3) == Fraction(25, 4)
+
+
+def test_mg_float_path_matches_left_to_right_g_values():
+    # g_value factors through arith.factor: a walk independent of mg_sum's
+    greedy = from_prime_set(greedy_construct(20_000, 1, 3))
+    for sys in (EMPTY, greedy):
+        for z in (EXACT_MG_LIMIT + 1, 20_000):
+            want = 1.0
+            for n in range(2, z + 1):
+                want += float(g_value(n, sys))
+            got = mg_sum(z, sys)
+            assert isinstance(got, float) and got == want, (sys, z)
 
 
 def test_mg_rejects_small_z():
@@ -302,6 +316,16 @@ def test_divisor_summatory_matches_tau_accumulation():
     acc = np.cumsum(tau)
     for w in (1, 2, 3, 17, 100, 999, 2000):
         assert divisor_summatory(w) == int(acc[w])
+
+
+def test_tau_table_matches_per_divisor_loop():
+    tau = np.zeros(20_001, dtype=np.int32)
+    for d in range(1, 20_001):
+        tau[d::d] += 1
+    table = _tau_table()
+    assert table.dtype == np.int32 and len(table) == 10**6 + 1
+    assert np.array_equal(table[:20_001], tau)
+    assert int(np.cumsum(table, dtype=np.int64)[10**6]) == divisor_summatory(10**6) == 13970034
 
 
 def test_divisor_summatory_envelope():

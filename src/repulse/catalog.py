@@ -26,16 +26,16 @@ point of interest rather than the verdict itself.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import bounds
+from . import bounds, primes
 from .primes import primes_up_to
 
 DEFAULT_TOLERANCE = 2e-3
@@ -299,30 +299,58 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
 
 # ----- custom evaluators -----
 
-@lru_cache(maxsize=1)
-def _odd_prime_ratio_table() -> np.ndarray:
-    """ratio[r-1] = prod_{odd p <= p2(r)} p/(p-1) / loglog(r) where
-    p2(r) is the r-th odd prime, for r = 1 .. floor(e^16)."""
-    hi_r = int(math.exp(16.0))  # 8886110
-    odd = primes_up_to(170_000_000)[1:]  # drop 2
-    if odd.size < hi_r:
-        raise ArithmeticError("prime sieve bound too small for the ratio table")
-    odd = odd[:hi_r].astype(np.float64)
-    log_product = np.cumsum(np.log(odd) - np.log(odd - 1.0))
-    r = np.arange(1, hi_r + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.exp(log_product) / np.log(np.log(r))
-    ratio[:3] = -np.inf  # loglog undefined or negative below r = 4
-    return ratio
+_RATIO_TOP_R = int(math.exp(16.0))  # 8886110: r runs over 1 .. floor(e^16)
+_RATIO_SIEVE_LIMIT = 170_000_000  # above the floor(e^16)-th odd prime
+
+
+def _odd_prime_ratio_segments(hi: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (r0, ratio) for r = 1 .. hi, one prime segment at a time, where
+    ratio[i] = prod_{odd p <= p2(r)} p/(p-1) / loglog(r) at r = r0 + i and
+    p2(r) is the r-th odd prime; ratio is -inf for r < 4, where loglog(r)
+    is undefined or negative.
+
+    The log-product is carried into each segment's first increment before
+    np.cumsum, which adds left to right, so every value is bit-identical
+    to one cumsum over the whole range.
+    """
+    chunks = itertools.chain(
+        [primes_up_to(primes.Config.SMALL_SIEVE_LIMIT)[1:]],  # drop 2
+        primes._segments(primes.Config.SMALL_SIEVE_LIMIT + 1, _RATIO_SIEVE_LIMIT + 1),
+    )
+    r0, carry = 1, 0.0
+    for chunk in chunks:
+        odd = chunk[:hi - r0 + 1].astype(np.float64)
+        inc = np.log(odd) - np.log(odd - 1.0)
+        inc[0] += carry
+        log_product = np.cumsum(inc)
+        carry = float(log_product[-1])
+        r = np.arange(r0, r0 + odd.size, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.exp(log_product) / np.log(np.log(r))
+        ratio[:max(0, 4 - r0)] = -np.inf
+        yield r0, ratio
+        r0 += odd.size
+        if r0 > hi:
+            return
+    raise ArithmeticError("prime sieve bound too small for the ratio table")
 
 
 def _eval_odd_prime_mertens_ratio(entry: ConstantCheck) -> Tuple[float, float]:
-    table = _odd_prime_ratio_table()
-    lo = max(4, int(math.ceil(entry.domain_lo)))
-    hi = min(table.size, int(math.floor(entry.domain_hi)))
-    window = table[lo - 1 : hi]
-    idx = int(np.argmax(window))
-    return float(window[idx]), float(lo + idx)
+    """Exact max of the odd-prime product ratio over the entry's integers
+    r in [4, floor(e^16)], and the first r attaining it."""
+    lo = max(4, math.ceil(entry.domain_lo))
+    hi = _RATIO_TOP_R if entry.domain_hi >= _RATIO_TOP_R else math.floor(entry.domain_hi)
+    if lo > hi:
+        raise ValueError(f"custom entry {entry.name!r} has no integer r in [4, {_RATIO_TOP_R}] "
+                         f"(its window is [{lo}, {hi}])")
+    best, at = -math.inf, lo
+    for r0, ratio in _odd_prime_ratio_segments(hi):
+        skip = max(lo - r0, 0)
+        if skip < ratio.size:
+            idx = skip + int(np.argmax(ratio[skip:]))
+            if ratio[idx] > best:  # strict: the first maximum wins, as in np.argmax
+                best, at = float(ratio[idx]), r0 + idx
+    return best, float(at)
 
 
 _CUSTOM_EVALUATORS: Dict[str, Callable[[ConstantCheck], Tuple[float, float]]] = {

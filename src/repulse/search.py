@@ -191,7 +191,12 @@ class Solution:
 
 
 def _make_solution(n: int, m: int, variant: str, sign: int) -> Solution:
-    f = arith.factor(n)
+    # psi(n) = n + 1 holds only for n prime, so the scan's column proves it;
+    # sigma*(n) = n + 1 shows only that n is a prime power, so usigma factors
+    if variant == "psi" and sign == 1 and m == 1:
+        f = arith._proven(((n, 1),), n)
+    else:
+        f = arith.factor(n)
     return Solution(n=n, m=m, variant=variant, sign=sign,
                     factorization=f, classification=classify(f))
 

@@ -8,13 +8,19 @@ entries and claimed - recomputed for inf_ge entries, so a positive
 margin always means the claim is on the wrong side.
 """
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repulse import catalog as cat
+from repulse import primes
 from repulse.catalog import ConstantCheck, compile_expression
 
 # name -> (frozen extremum, frozen margin, verdict)
@@ -186,21 +192,80 @@ def test_six_loglog_details(completed):
 
 
 def test_six_loglog_interior_and_right_end():
-    table = cat._odd_prime_ratio_table()
-    assert table.size == 8886110
+    size, interior, interior_at = 0, -math.inf, None
+    above, last = [], None
+    for r0, ratio in cat._odd_prime_ratio_segments(cat._RATIO_TOP_R):
+        size += ratio.size
+        r = np.arange(r0, r0 + ratio.size)
+        inside = np.flatnonzero((r >= 5) & (r <= 10**6))
+        if inside.size:
+            i = inside[int(np.argmax(ratio[inside]))]
+            if ratio[i] > interior:
+                interior, interior_at = float(ratio[i]), int(r[i])
+        above.append(r[(r >= 5) & (ratio > 6.0)])
+        last = float(ratio[-1])
+    assert size == 8886110
     # away from the endpoints the claim holds with room, but the ratio is
     # already rising through the end of the comfortable window
-    window = table[4:10**6]
-    assert window.max() == pytest.approx(5.614810563413058, abs=1e-8)
-    assert int(window.argmax()) + 5 == 10**6
+    assert interior == pytest.approx(5.614810563413058, abs=1e-8)
+    assert interior_at == 10**6
     # behavior freeze: the ratio crosses 6 once more and stays above it
-    import numpy as np
-
-    above = np.flatnonzero(table[4:] > 6.0) + 5
+    above = np.concatenate(above)
     assert above[0] == 6486052
     assert above[-1] == 8886110
     assert above.size == 2400059
-    assert float(table[-1]) == pytest.approx(6.064207820812686, abs=1e-8)
+    assert last == pytest.approx(6.064207820812686, abs=1e-8)
+
+
+def _ratio_entry(lo, hi):
+    return ConstantCheck(name="ratio_window", kind="custom", direction="sup_le",
+                         expression="odd_prime_mertens_ratio", domain_lo=float(lo),
+                         domain_hi=float(hi), claimed=6.0, integer_domain=True)
+
+
+def test_odd_prime_ratio_matches_whole_array_oracle():
+    # the first three seams between the generator's chunks: the cached
+    # SMALL_SIEVE_LIMIT table ends at r = 78497, then one chunk per segment
+    starts = [r0 for r0, _ in itertools.islice(cat._odd_prime_ratio_segments(cat._RATIO_TOP_R), 4)]
+    assert starts[:2] == [1, 78498]
+    top = starts[3] + 100
+    odd = primes.primes_up_to(8 * 10**6)[1:top + 1].astype(np.float64)
+    assert odd.size == top
+    with np.errstate(divide="ignore", invalid="ignore"):  # r < 4 is never read
+        ratio = np.exp(np.cumsum(np.log(odd) - np.log(odd - 1.0)))
+        ratio /= np.log(np.log(np.arange(1, top + 1, dtype=np.float64)))
+    windows = [(4, top)]
+    for seam in starts[1:]:
+        windows += [(seam - 1, seam), (seam, seam + 50), (seam - 50, seam - 1),
+                    (seam, top), (4, seam - 1), (seam - 3, seam + 3)]
+    for lo, hi in windows:
+        idx = int(np.argmax(ratio[lo - 1:hi]))
+        expect = (float(ratio[lo - 1 + idx]), float(lo + idx))
+        assert cat._eval_odd_prime_mertens_ratio(_ratio_entry(lo, hi)) == expect, (lo, hi)
+
+
+def test_odd_prime_ratio_empty_window_is_refused():
+    for lo, hi in ((9e6, 1e7), (1.0, 3.0), (4.5, 4.9)):
+        with pytest.raises(ValueError, match="'ratio_window'"):
+            cat._eval_odd_prime_mertens_ratio(_ratio_entry(lo, hi))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_odd_prime_ratio_streams_in_small_memory():
+    # the packaged entry, in a fresh process; a whole-range float table
+    # peaked near 445 MB.  The child reports VmHWM, the peak of its own
+    # address space: its ru_maxrss would also count the pytest process
+    # it was forked from.
+    code = ("from repulse import catalog as c; "
+            "e = c.load_catalog().entry('odd_prime_mertens_six_loglog'); "
+            "print(repr(c._eval_odd_prime_mertens_ratio(e))); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, check=True)
+    result, peak_kb = proc.stdout.splitlines()
+    assert result == repr((7.3668022459125995, 4.0))
+    assert int(peak_kb) / 1024 < 150, peak_kb
 
 
 def test_axioms_never_recomputed(completed):

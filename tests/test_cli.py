@@ -420,6 +420,19 @@ def test_verify_constants_bad_setting_is_usage_error(capsys, tmp_path, catalog_j
     assert err.count("\n") == 1 and message in err
 
 
+def test_verify_constants_custom_entry_outside_ratio_range_is_usage_error(capsys, tmp_path):
+    # no integer r of [9e6, 1e7] lies in the ratio's range [4, floor(e^16)];
+    # this used to sieve to 1.7e8 and fail on numpy's argmax of an empty window
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [{
+        "name": "ratio_far", "kind": "custom", "direction": "sup_le",
+        "expression": "odd_prime_mertens_ratio", "domain": [9e6, 1e7], "claimed": 6.0}]}))
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "'ratio_far'" in err and "[9000000, 8886110]" in err
+
+
 def test_verify_constants_huge_power_does_not_hang(tmp_path):
     # exact integer powering of 9**9**9 would never finish; the child is
     # killed after 30 s so that a regression fails instead of hanging

@@ -330,12 +330,10 @@ def test_tau_table_matches_per_divisor_loop():
 
 def test_divisor_summatory_envelope():
     # |D(w) - (w log w + (2 gamma - 1) w)| <= 0.764 w^(1/3) log w on [9995, 10^6]
-    top = 10**6
-    tau = np.zeros(top + 1, dtype=np.int64)
-    for d in range(1, top + 1):
-        tau[d::d] += 1
-    dvals = np.cumsum(tau)[9995:]
-    w = np.arange(9995, top + 1, dtype=np.float64)
+    # _tau_table is pinned by test_tau_table_matches_per_divisor_loop;
+    # criterion 06 rebuilds the table independently
+    dvals = np.cumsum(_tau_table(), dtype=np.int64)[9995:]
+    w = np.arange(9995, 10**6 + 1, dtype=np.float64)
     main = w * np.log(w) + (2 * EULER_GAMMA - 1) * w
     ratio = np.abs(dvals - main) / (0.764 * np.cbrt(w) * np.log(w))
     assert float(np.max(ratio)) < 1.0

@@ -167,6 +167,19 @@ def test_scan_psi_plus_min1_is_primes():
     assert all(s.m == 1 and s.classification == "prime" for s in sols)
 
 
+def test_scan_psi_plus_primes_match_validated_factorization(monkeypatch):
+    # m = 1 proves n prime, so these solutions skip factor(); the validated
+    # factorization of factor(n) is the oracle
+    sols = list(scan(2, 10**6, "psi", 1))
+    assert len(sols) == 78498 and all(s.m == 1 for s in sols)
+    for sol in sols:
+        assert sol.factorization == arith.from_pairs(arith.factor(sol.n).pairs)
+    calls = []
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or arith.from_pairs([]))
+    assert [s.n for s in scan(2, 100, "psi", 1)] == primes.primes_up_to(100).tolist()
+    assert calls == []
+
+
 def test_scan_psi_plus_no_larger_multiplier():
     assert pairs(scan(2, NAIVE_LIMIT, "psi", 1, min_m=2)) == []
 

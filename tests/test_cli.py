@@ -174,6 +174,13 @@ def test_greedy_small_golden(capsys):
     assert row["size"] == 8
 
 
+def test_greedy_past_enumeration_limit_is_usage_error(capsys):
+    # refused before the one-byte-per-integer sieve up to x is allocated
+    code, out, err = run(capsys, "greedy", "--a", "1", "--start", "3", "--x", "5e9")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "enumeration limit is 1000000000" in err
+
+
 def test_sieve_reads_set_file(capsys, tmp_path):
     setfile = tmp_path / "u.json"
     setfile.write_text('{"a": 1, "primes": [3, 5], "cutoff": 100}')
@@ -390,6 +397,20 @@ def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
     assert code == 0
     row = json.loads(out)
     assert row["domain"] == [1.0, None] and row["verdict"] == "pass"
+
+
+def test_verify_constants_ignores_result_fields_of_input(capsys, tmp_path):
+    # an unbounded entry without tail_note stops before any recomputation, so
+    # result fields carried by the input file must not reach the report
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [
+        {**TOY_ENTRY, "domain": [1.0, None], "recomputed_sup": 99, "sup_at": 5.0,
+         "margin": -3, "verdict": "pass"}]}))
+    code, out, _ = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 0
+    row = json.loads(out)
+    assert row["verdict"] == "unverifiable-by-grid"
+    assert (row["recomputed_sup"], row["sup_at"], row["margin"]) == (None, None, None)
 
 
 TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}

@@ -78,6 +78,21 @@ def test_mg_float_path_matches_left_to_right_g_values():
             assert isinstance(got, float) and got == want, (sys, z)
 
 
+def test_mg_exact_path_matches_g_values():
+    # g_value factors each n through arith.factor, independent of mg_sum's sieve
+    rng = random.Random(4271)
+    for _ in range(25):
+        z = rng.randrange(1, 2001)
+        omega = {}
+        for p in primes_up_to(min(z, 60)).tolist():
+            size = rng.choice((0, 1, p - 1, rng.randrange(p)))
+            omega[p] = frozenset(rng.sample(range(p), size))
+        sys = SieveSystem(start=0, x_len=z, omega_p=omega)
+        want = sum((g_value(n, sys) for n in range(1, z + 1)), Fraction(0))
+        got = mg_sum(z + rng.random(), sys)
+        assert isinstance(got, Fraction) and got == want, (z, omega)
+
+
 def test_mg_rejects_small_z():
     with pytest.raises(ValueError):
         mg_sum(0.5, EMPTY)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repulse.arith import euler_phi, factor
+from repulse.primes import iter_primes
 from repulse.repulsive import (
     PrimeSet,
     greedy_construct,
@@ -79,6 +80,36 @@ def test_greedy_examples():
     assert greedy_construct(20, 1, 2).primes == (2,)
     assert greedy_construct(20, -1, 3).primes == (3, 7, 19)
     assert greedy_construct(100, 1, 3).primes == (3, 5, 17, 23, 29, 53, 83, 89)
+
+
+def greedy_oracle(x, a, start):
+    """The pairwise greedy loop: each prime is tested against every chosen member."""
+    chosen = []
+    for p in iter_primes(start, math.floor(x) + 1):
+        admit = True
+        for q in chosen:
+            # q came first, so test both orders against the newcomer.
+            if p % q == a % q or q % p == a % p:
+                admit = False
+                break
+        if admit:
+            chosen.append(p)
+    return tuple(chosen)
+
+
+def test_greedy_matches_pairwise_oracle():
+    # a in [-30, 30] covers p = a and |a| >= p; ascending greedy members
+    # up to a smaller x are the prefix of the members up to 3000
+    for a in range(-30, 31):
+        for start in (2, 3, 5):
+            want = greedy_oracle(3000, a, start)
+            for x in (start, 10.5, 30, 31, 100, 1000.9, 3000):
+                got = greedy_construct(x, a, start).primes
+                assert got == tuple(p for p in want if p <= x), (a, start, x)
+    for a, start, x in [(1, 3, 2e4), (-1, 3, 2e4), (2, 2, 2e4), (-2, 5, 2e4),
+                        (10**30, 2, 3000), (-10**30, 3, 3000), (5000, 3, 3000),
+                        (-4999, 2, 3000), (7, 24, 28.5), (3, 24, 24)]:
+        assert greedy_construct(x, a, start).primes == greedy_oracle(x, a, start), (a, start, x)
 
 
 def test_greedy_rejects_bad_range():

@@ -124,11 +124,15 @@ def compile_expression(text: str) -> Callable[[float], float]:
                 node.value = float(node.value)
             except OverflowError:
                 raise ValueError(f"expression {text!r} has a literal beyond float range") from None
-    code = compile(tree, "<catalog>", "eval")
+    # compiled once as `lambda t: <expression>` over the namespace
+    tree.body = ast.Lambda(ast.arguments(posonlyargs=[], args=[ast.arg("t")], kwonlyargs=[],
+                                         kw_defaults=[], defaults=[]), tree.body)
+    expr = eval(compile(ast.fix_missing_locations(tree), "<catalog>", "eval"),
+                {"__builtins__": {}, **_NAMESPACE})
 
     def fn(t: float) -> float:
         try:
-            return float(eval(code, {"__builtins__": {}}, {**_NAMESPACE, "t": t}))
+            return float(expr(t))
         except (ArithmeticError, TypeError) as exc:
             raise ValueError(f"expression {text!r} fails at t = {t}: {exc}") from None
 

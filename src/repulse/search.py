@@ -12,12 +12,16 @@ Fermat primes.
 Each query sieves only the columns it reads: a scan its variant's column,
 an audit its own column, over the odd n only, since parity settles the even
 n in closed form.
+
+The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
+n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +58,7 @@ _MULTIPLICATIVE = {
     "usigma": (lambda p, d: d * p + 1, lambda r: r + (r > 1)),
     "n1": (lambda p, d: np.where(d == 1, p, 1), lambda r: r),
 }
+_WIDE = ("psi", "usigma")  # the columns that exceed n, kept as int64
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,16 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     updates its multiples through strided slices in either layout; the odd
     layout skips p = 2.  Any n < hi has at most one prime factor above
     sqrt(hi - 1), left over at the end.
+
+    One dtype rule holds for every range: n, the factored part of n, the
+    exponent array and the phi, phi* and n1 columns are int32; psi and
+    sigma* are int64; omega is int16.  int32 has the headroom because
+    - every partial product of the factored part, phi, phi* and n1 is at
+      most its final value, and the final value is at most n;
+    - n <= Config.MAX_SCAN_LIMIT = 10**9;
+    - _hit_arrays forms n + sign <= 10**9 + 1 < 2**31 - 1.
+    psi(n) reaches about 3.75n below 10**9 (psi(892371480) > 2**31), so psi
+    and sigma* need int64.
     """
     columns = set(columns)
     if not columns <= set(COLUMNS):
@@ -101,11 +116,11 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     def first_row(m: int) -> int:  # the first row whose n is a multiple of m
         return -lo * pow(step, -1, m) % m
 
-    n = np.arange(lo, hi, step, dtype=np.int64)
+    n = np.arange(lo, hi, step, dtype=np.int32)
     size = n.size
-    done = np.ones(size, dtype=np.int64)  # the part of n factored so far
+    done = np.ones(size, dtype=np.int32)  # the part of n factored so far
     updates = [(c, *_MULTIPLICATIVE[c]) for c in COLUMNS if c in columns and c != "omega"]
-    cols = {c: np.ones(size, dtype=np.int64) for c, _, _ in updates}
+    cols = {c: np.ones(size, dtype=np.int64 if c in _WIDE else np.int32) for c, _, _ in updates}
     omega = np.zeros(size, dtype=np.int16) if "omega" in columns else None
     for p in primes.primes_up_to(math.isqrt(hi - 1)).tolist():
         if odd and p == 2:
@@ -117,7 +132,7 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
         # d = p**(e-1) where p**e exactly divides n; the scalar 1 while no row has e >= 2
         pk = p * p
         f = first_row(pk)
-        d = np.ones(len(range(first, size, p)), dtype=np.int64) if f < size else 1
+        d = np.ones(len(range(first, size, p)), dtype=np.int32) if f < size else 1
         while f < size:
             d[(f - first) // p::pk // p] *= p
             pk *= p
@@ -139,7 +154,8 @@ def _table_stream(lo: int, hi: int, jobs: int, columns: Collection[str] = COLUMN
                   odd: bool = False) -> Iterator[BlockTable]:
     """Yield the tables of blocks of Config.BLOCK_SIZE rows covering the inclusive
     range [lo, hi] in order; build_table gets `columns` and `odd` as they are.
-    Workers keep only a bounded window live."""
+    Workers keep only a bounded window live: jobs is capped at the CPU count."""
+    jobs = min(jobs, os.cpu_count() or 1)
     span = Config.BLOCK_SIZE * (2 if odd else 1)
     ranges = ((a, min(a + span, hi + 1)) for a in range(lo, hi + 1, span))
     if jobs <= 1:

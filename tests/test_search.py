@@ -89,10 +89,44 @@ def test_block_table_at_height_matches_oracle(lo, width, columns):
 @pytest.mark.parametrize("center", [
     2**29, 3**18, 5**12, 7**10,
     31601**2, 31607**2,  # squares of the largest base primes below sqrt(1e9)
+    892_371_480,  # 8 * 3 * 5 * ... * 23: psi(n) ~ 3.75n exceeds 2**31
     search.Config.MAX_SCAN_LIMIT - 255,  # the window ending at the scan limit
 ])
 def test_block_table_windows_straddling_prime_powers(center):
     assert_table_matches_oracle(center - 256, center + 256, ALL_SUBSETS)
+
+
+def test_block_table_dtypes_have_headroom():
+    # n, phi, phi* and n1 never exceed n, and _hit_arrays forms n + 1, so
+    # int32 holds them up to the scan limit; psi and sigma* exceed n
+    assert search.Config.MAX_SCAN_LIMIT + 1 < 2**31
+    tbl = build_table(2, 1000)
+    for field in ("n", "phi", "uphi", "n1"):
+        assert getattr(tbl, field).dtype == np.int32, field
+    for field in ("psi", "usigma"):
+        assert getattr(tbl, field).dtype == np.int64, field
+
+
+def test_table_stream_caps_jobs_at_cpu_count(monkeypatch):
+    # a huge --jobs must not start a thread per block; output is unchanged
+    workers = []
+    real_pool = search.ThreadPoolExecutor
+
+    def spy_pool(max_workers):
+        workers.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", spy_pool)
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
+    many = list(search._table_stream(3, 20_000, 10**6, ("phi", "psi"), odd=True))
+    assert workers == [2]
+    one = list(search._table_stream(3, 20_000, 1, ("phi", "psi"), odd=True))
+    assert len(many) == len(one) > 2
+    for a, b in zip(many, one):
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        for field in ("n", "phi", "psi"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_block_table_block_boundaries():

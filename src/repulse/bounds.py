@@ -18,6 +18,11 @@ Chain-grid reports (``chain_grid_report``) evaluate the envelope
 inequalities that link the correction factors to their advertised
 linear envelopes on a dense grid; they are the basis of the acceptance
 sweep and deliberately report violations instead of hiding them.
+
+Claimed constants live in the packaged catalog, which recomputes them.
+This module keeps only those it evaluates at run time (the correction
+coefficients, ``CHAIN_CONSTANTS``, ``CHAIN_CUTOFFS`` and the headline
+constants); a test pins each one to its catalog claim.
 """
 
 from __future__ import annotations
@@ -137,47 +142,6 @@ def delta1(t: float) -> float:
     return gap * gap / (t * t * d1) + lt * lt / (2.0 * t * t * d2)
 
 
-# (quadratic coefficients, terminal constant) per path
-_DELTA1_LINKS = {
-    "delta": (1.06245, 0.53123, 0.13552),
-    "delta_psi": (1.05035, 0.52518, 0.11669),
-}
-
-
-@dataclass(frozen=True)
-class Delta1Check:
-    """delta1(t) against its two chain links."""
-
-    t: float
-    value: float
-    quadratic_bound: float
-    terminal_bound: float
-    holds_quadratic: bool
-    holds_terminal: bool
-
-    def __bool__(self) -> bool:
-        return self.holds_quadratic and self.holds_terminal
-
-
-def delta1_check(t: float, psi_path: bool = False) -> Delta1Check:
-    """Evaluate delta1(t) and both of its envelope inequalities:
-    value <= (a*(log t - 8g)^2 + b*log^2 t)/t^2 <= terminal/t."""
-    a, b, terminal = _DELTA1_LINKS["delta_psi" if psi_path else "delta"]
-    v = delta1(t)
-    lt = math.log(t)
-    gap = lt - EIGHT_GAMMA
-    quad = (a * gap * gap + b * lt * lt) / (t * t)
-    term = terminal / t
-    return Delta1Check(
-        t=float(t),
-        value=v,
-        quadratic_bound=quad,
-        terminal_bound=term,
-        holds_quadratic=v <= quad,
-        holds_terminal=quad <= term,
-    )
-
-
 # ----- exponential correction helpers (also exposed to the catalog) -----
 
 def half_inverse_expm1(t: float) -> float:
@@ -233,42 +197,6 @@ def epsilon_correction(x2: float, r: int) -> float:
     if x2 - 1.0 < 1e300:
         arg += 0.5 / (x2 - 1.0)
     return math.expm1(arg)
-
-
-@dataclass(frozen=True)
-class BoundContext:
-    """Cutoff bookkeeping for one bound derivation.
-
-    x1: largest prime factor in play; x2: last point where the weighted
-    prime sum stays above its floor; x3: the weighted prime sum at x1;
-    r: number of primes in the squarefree kernel; epsilon: the
-    correction attached to (x2, r).
-    """
-
-    x1: Optional[float] = None
-    x2: Optional[float] = None
-    x3: Optional[float] = None
-    r: Optional[int] = None
-    epsilon: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.x1 is not None and self.x2 is not None and self.x1 < self.x2:
-            raise ValueError(f"x1 = {self.x1} < x2 = {self.x2}")
-        if self.r is not None and self.r < OMEGA_MINIMUM:
-            raise ValueError(
-                f"r = {self.r} out of range: need r >= {OMEGA_MINIMUM}"
-            )
-
-
-def make_context(
-    x1: Optional[float] = None,
-    x2: Optional[float] = None,
-    x3: Optional[float] = None,
-    r: Optional[int] = None,
-) -> BoundContext:
-    """Build a BoundContext, filling epsilon when x2 and r are given."""
-    eps = epsilon_correction(x2, r) if (x2 is not None and r is not None) else None
-    return BoundContext(x1=x1, x2=x2, x3=x3, r=r, epsilon=eps)
 
 
 # ----- closed-form upper bounds -----
@@ -329,14 +257,6 @@ CHAIN_CONSTANTS = {
     ("eta_psi", "linear"): 6.8383,
 }
 
-# advertised bound on the log-kind tail (3 log t - c)/t over the domain
-CHAIN_TAIL_BOUNDS = {
-    "delta": 0.07007,
-    "delta_psi": 0.06186,
-    "eta": 0.08019,
-    "eta_psi": 0.07003,
-}
-
 CHAIN_CUTOFFS = {"delta": 73.0, "delta_psi": 95.0, "eta": 72.0, "eta_psi": 93.0}
 
 _CORRECTION_FNS = {
@@ -356,12 +276,6 @@ def chain_margin(t: float, correction: str = "delta", kind: str = "log") -> floa
     if kind == "log":
         return envelope - math.log(f)
     return 1.0 + envelope - f
-
-
-def chain_tail_value(t: float, correction: str = "delta") -> float:
-    """(3 log t - c)/t for the log-kind chain constant of the path."""
-    c = CHAIN_CONSTANTS[(correction, "log")]
-    return (3.0 * math.log(t) - c) / t
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .primes import primes_up_to
 
 DEFAULT_TOLERANCE = 2e-3
 DEFAULT_GRID = 4001
+MAX_GRID = 10**6
 DEFAULT_SCAN_HI = 1.0e7
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -265,13 +266,16 @@ def _valid_tolerance(value: object) -> float:
 
 
 def _valid_grid(value: object) -> int:
-    """A grid size: an integer >= 2, since the scan keeps both domain ends."""
+    """A grid size: an integer >= 2, since the scan keeps both domain ends,
+    and at most MAX_GRID, since the scan holds the whole grid in memory."""
     try:
         grid = int(value)
     except (TypeError, ValueError, OverflowError):
         grid = 0
     if grid != value or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {value!r}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID} points, got {value!r}")
     return grid
 
 
@@ -304,7 +308,10 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
 # ----- custom evaluators -----
 
 _RATIO_TOP_R = int(math.exp(16.0))  # 8886110: r runs over 1 .. floor(e^16)
-_RATIO_SIEVE_LIMIT = 170_000_000  # above the floor(e^16)-th odd prime
+# The floor(e^16)-th odd prime is p_n with n = _RATIO_TOP_R + 1, and
+# p_n < n (log n + loglog n) for n >= 6 (Rosser 1938): 166,815,308.
+_RATIO_SIEVE_LIMIT = math.ceil((_RATIO_TOP_R + 1) * (math.log(_RATIO_TOP_R + 1)
+                                                     + _loglog(_RATIO_TOP_R + 1)))
 
 
 def _odd_prime_ratio_segments(hi: int) -> Iterator[Tuple[int, np.ndarray]]:
@@ -336,7 +343,6 @@ def _odd_prime_ratio_segments(hi: int) -> Iterator[Tuple[int, np.ndarray]]:
         r0 += odd.size
         if r0 > hi:
             return
-    raise ArithmeticError("prime sieve bound too small for the ratio table")
 
 
 def _eval_odd_prime_mertens_ratio(entry: ConstantCheck) -> Tuple[float, float]:

@@ -378,6 +378,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"repulse: {reason}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an input beyond float range, e.g. eval --t 1e200
+        print(f"repulse: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     finally:
         if owns:
             out.close()

@@ -13,25 +13,25 @@ from repulse.arith import euler_phi, factor, from_pairs, profile
 from repulse.bounds import (
     CHAIN_CONSTANTS,
     CHAIN_CUTOFFS,
-    CHAIN_TAIL_BOUNDS,
+    DELTA_CORRECTION,
+    DELTA_CORRECTION_PSI,
     EIGHT_EGAMMA,
     EIGHT_GAMMA,
+    ETA_CORRECTION,
+    ETA_CORRECTION_PSI,
     EULER_GAMMA,
     OMEGA_LOG_CONSTANTS,
     STIELTJES_B0,
     STIELTJES_GAMMA1,
     TRIPLE_LOG_CONSTANTS,
-    BoundContext,
     SubCheck,
     assemble_M,
     assemble_M_exact,
     boundary_log_count,
     chain_grid_report,
     chain_margin,
-    chain_tail_value,
     delta,
     delta1,
-    delta1_check,
     delta_psi,
     epsilon_boundary_factor,
     epsilon_correction,
@@ -39,14 +39,20 @@ from repulse.bounds import (
     eta_psi,
     exp_correction,
     half_inverse_expm1,
-    make_context,
     pu_upper_eq32,
     solve_m,
     theorem_check,
     thm21_pi_bound,
 )
+from repulse.catalog import load_catalog
 
 G = EULER_GAMMA
+CATALOG = load_catalog()
+# catalog entry-name suffix of each correction path and of each variant
+PATH_SUFFIX = {"delta": "totient", "delta_psi": "psi", "eta": "eta_totient",
+               "eta_psi": "eta_psi"}
+VARIANT_SUFFIX = {"phi": "totient", "uphi": "unitary_totient", "psi": "psi",
+                  "usigma": "unitary_sigma"}
 
 
 # ----- oracles: independent re-derivations used only by tests -----
@@ -93,6 +99,28 @@ def test_constant_literals():
     assert abs(STIELTJES_B0 - 0.478809614775072) < 1e-14
     assert abs(EIGHT_EGAMMA - 8 * math.exp(G)) < 1e-14
     assert EIGHT_GAMMA == 8 * G
+
+
+def runtime_constant_pins():
+    """(value bounds evaluates, catalog entry, entry field) per run-time constant."""
+    corrections = {"delta": DELTA_CORRECTION, "delta_psi": DELTA_CORRECTION_PSI,
+                   "eta": ETA_CORRECTION, "eta_psi": ETA_CORRECTION_PSI}
+    for path, suffix in PATH_SUFFIX.items():
+        yield corrections[path], f"log_linearization_{suffix}", "claimed"
+        yield CHAIN_CONSTANTS[(path, "log")], f"chain_constant_{suffix}", "claimed"
+        yield CHAIN_CONSTANTS[(path, "linear")], f"chain_collapse_{suffix}", "claimed"
+        yield CHAIN_CUTOFFS[path], f"chain_tail_{suffix}", "domain_lo"
+    for variant, suffix in VARIANT_SUFFIX.items():
+        yield TRIPLE_LOG_CONSTANTS[variant], f"headline_triple_log_{suffix}", "claimed"
+        yield OMEGA_LOG_CONSTANTS[variant], f"headline_omega_{suffix}", "claimed"
+
+
+@pytest.mark.parametrize("value, name, field",
+                         [pytest.param(*pin, id=pin[1]) for pin in runtime_constant_pins()])
+def test_runtime_constant_matches_catalog(value, name, field):
+    # the catalog is the one home of each claimed constant; bounds keeps a
+    # copy only of those it evaluates, and each copy must equal the claim
+    assert getattr(CATALOG.entry(name), field) == value
 
 
 # ----- delta / eta -----
@@ -153,15 +181,20 @@ def test_delta1_matches_oracle(t):
 def test_delta1_terminal_bounds():
     assert delta1(73.0) * 73.0 <= 0.13552
     assert delta1(95.0) * 95.0 <= 0.11669
-    assert bool(delta1_check(1000.0))
-    assert bool(delta1_check(1000.0, psi_path=True))
 
 
 def test_delta1_chain_links_on_grid():
-    for lo, psi_path in ((73.0, False), (95.0, True)):
-        for t in np.geomspace(lo, 1e6, 2001):
-            chk = delta1_check(float(t), psi_path=psi_path)
-            assert chk.holds_quadratic and chk.holds_terminal, t
+    # delta1(t) <= (a (log t - 8g)^2 + b log^2 t)/t^2 <= terminal/t, with a,
+    # b and terminal the catalog's claims on each path's domain
+    for suffix in PATH_SUFFIX.values():
+        a = CATALOG.entry(f"gap_inverse_{suffix}").claimed
+        b = CATALOG.entry(f"half_inverse_log_{suffix}").claimed
+        step = CATALOG.entry(f"quadratic_gap_step_{suffix}")
+        for t in np.geomspace(step.domain_lo, 1e6, 2001):
+            t = float(t)
+            lt = math.log(t)
+            quad = (a * (lt - EIGHT_GAMMA) ** 2 + b * lt * lt) / (t * t)
+            assert delta1(t) <= quad <= step.claimed / t, (suffix, t)
 
 
 def test_delta1_asymptote():
@@ -224,7 +257,7 @@ def test_epsilon_boundary_factor():
     assert epsilon_boundary_factor(t) == pytest.approx(want, rel=1e-14)
 
 
-def test_epsilon_correction_and_context():
+def test_epsilon_correction():
     x2, r = math.exp(10.0), 5
     lx = math.log(x2)
     want = (
@@ -232,15 +265,8 @@ def test_epsilon_correction_and_context():
         - 1
     )
     assert epsilon_correction(x2, r) == pytest.approx(want, rel=1e-12)
-    ctx = make_context(x1=x2 * 10, x2=x2, x3=123.0, r=r)
-    assert ctx.epsilon == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         epsilon_correction(x2, 3)
-    with pytest.raises(ValueError):
-        BoundContext(x1=5.0, x2=10.0)
-    with pytest.raises(ValueError):
-        BoundContext(r=3)
-    assert make_context(x1=7.0).epsilon is None
 
 
 # ----- thm21_pi_bound / pu_upper_eq32 -----
@@ -289,24 +315,6 @@ def test_pu_upper_eq32():
 
 
 # ----- chain grids -----
-
-def test_chain_tail_values():
-    # (3 log t - c)/t stays below its advertised ceiling, with the
-    # maximum at the left endpoint of each domain
-    for name, lo in CHAIN_CUTOFFS.items():
-        bound = CHAIN_TAIL_BOUNDS[name]
-        grid = np.geomspace(lo, 1e6, 4001)
-        vals = [chain_tail_value(float(t), name) for t in grid]
-        assert max(vals) == vals[0]
-        assert vals[0] < bound
-    assert chain_tail_value(73.0, "delta") == pytest.approx(
-        0.070060661965, abs=1e-9
-    )
-    assert chain_tail_value(72.0, "eta") == pytest.approx(
-        (3 * math.log(72) - 7.05655) / 72, rel=1e-15
-    )
-    assert chain_tail_value(72.0, "eta") < 0.08019
-
 
 def test_delta_chains_hold_on_grid():
     for correction in ("delta", "delta_psi"):

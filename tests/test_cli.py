@@ -429,8 +429,11 @@ TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}
     ({**TOY_CATALOG, "entries": [{**TOY_ENTRY, "scan_hi": "a"}]}, [], "scan_hi 'a'"),
     # used to print only "repulse: version"
     ({"entries": [TOY_ENTRY]}, [], "no 'version' key"),
+    # np.geomspace used to raise a MemoryError traceback, exit 1
+    (TOY_CATALOG, ["--grid", "1000000000000"], "grid must be at most 1000000 points"),
+    ({**TOY_CATALOG, "default_grid": 10**12}, [], "grid must be at most 1000000 points"),
 ], ids=["grid-1", "grid-0", "default-grid-1", "tolerance-nan", "tolerance-negative",
-        "scan-hi-string", "missing-version"])
+        "scan-hi-string", "missing-version", "grid-1e12", "default-grid-1e12"])
 def test_verify_constants_bad_setting_is_usage_error(capsys, tmp_path, catalog_json, argv,
                                                      message):
     alt = tmp_path / "cat.json"
@@ -487,6 +490,16 @@ def test_eval_two_argument_forms(capsys):
                        "--theta-u", "50.0")
     assert code == 0
     assert float(out) == pytest.approx(bounds.pu_upper_eq32(1e6, 50.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("fn", ["delta", "delta_psi", "eta", "eta_psi"])
+def test_eval_beyond_float_range_is_usage_error(capsys, fn):
+    # t**3 overflows a float; this used to end in an OverflowError traceback
+    # and exit 1, the code for a violation found
+    code, out, err = run(capsys, "eval", "--fn", fn, "--t", "1e200")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("repulse: ")
 
 
 def test_eval_missing_argument(capsys):

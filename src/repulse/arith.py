@@ -21,25 +21,20 @@ class Factorization:
 
     The empty sequence represents 1.  `value` always equals the product of the
     prime powers and may exceed machine range for externally built inputs.
-    The constructor and from_pairs validate: every prime is proven by
-    primes.is_prime, so a prime at or above primes.MR_LIMIT raises ValueError.
-    factor() proves its primes as it finds them and skips this (see _proven).
+    Each prime is proven once: by primes.check_increasing_primes in the constructor
+    and from_pairs (one at or above primes.MR_LIMIT raises ValueError), or by
+    factor() as it finds it, which then builds the record with _trusted.
     """
 
     pairs: tuple[tuple[int, int], ...]
     value: int
 
     def __post_init__(self) -> None:
-        prev = 1
+        primes.check_increasing_primes(p for p, _ in self.pairs)
         acc = 1
         for p, e in self.pairs:
-            if p <= prev:
-                raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")
             if e < 1:
                 raise ValueError(f"exponent must be >= 1, got {p}^{e}")
-            if not primes.is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
             acc *= p**e
         if acc != self.value:
             raise ValueError(f"value {self.value} does not match product {acc}")
@@ -54,11 +49,11 @@ def from_pairs(pairs) -> Factorization:
     return Factorization(pairs=tup, value=value)
 
 
-def _proven(pairs: tuple[tuple[int, int], ...], value: int) -> Factorization:
-    """Factorization from canonical pairs of already proven primes, unvalidated."""
-    f = object.__new__(Factorization)
-    f.__dict__.update(pairs=pairs, value=value)
-    return f
+def _trusted(cls, **fields):
+    """Record of class cls from fields whose primes are already proven: no __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ def _factor_tail(n: int, out: dict[int, int]) -> None:
 
 
 def factor(n: int) -> Factorization:
-    """Canonical factorization of n, for 1 <= n <= 2^63, built with _proven:
+    """Canonical factorization of n, for 1 <= n <= 2^63, built with _trusted:
     each prime is proven where it is found, by the smallest-prime-factor table,
     by trial division up to its square root, or by is_prime in _factor_tail."""
     if n < 1:
@@ -164,7 +159,7 @@ def factor(n: int) -> Factorization:
                 exps[p] = exps.get(p, 0) + 1
                 rem //= p
         _factor_tail(rem, exps)
-    return _proven(tuple(sorted(exps.items())), n)
+    return _trusted(Factorization, pairs=tuple(sorted(exps.items())), value=n)
 
 
 # ----- multiplicative functions -----

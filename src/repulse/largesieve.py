@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from . import primes
-from .arith import factor
+from .arith import _trusted, factor
 from .bounds import EULER_GAMMA
 from .repulsive import PrimeSet
 
@@ -42,10 +42,9 @@ class SieveSystem:
     def __post_init__(self) -> None:
         if self.x_len < 0:
             raise ValueError(f"window length must be >= 0, got {self.x_len}")
+        primes.check_increasing_primes(sorted(self.omega_p))
         norm = {}
         for p, residues in self.omega_p.items():
-            if not primes.is_prime(p):
-                raise ValueError(f"sieve modulus {p} is not prime")
             norm[int(p)] = frozenset(int(r) % p for r in residues)
         object.__setattr__(self, "omega_p", norm)
 
@@ -58,9 +57,12 @@ class SieveSystem:
 
 
 def from_prime_set(u: PrimeSet, start: int = 0, x_len: float = 0.0) -> SieveSystem:
-    """The standard system for a set U: Omega_p = {0, a mod p} on U, {0} elsewhere."""
+    """The standard system for a set U: Omega_p = {0, a mod p} on U, {0} elsewhere.
+    Built with _trusted, since u's members were proven when u was built."""
+    if x_len < 0:
+        raise ValueError(f"window length must be >= 0, got {x_len}")
     omega = {p: frozenset((0, u.a % p)) for p in u.primes}
-    return SieveSystem(start=start, x_len=x_len, omega_p=omega)
+    return _trusted(SieveSystem, start=start, x_len=x_len, omega_p=omega)
 
 
 # ----- the weight g and its summatory -----

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -132,3 +132,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_increasing_primes(seq: Iterable[int]) -> None:
+    """Raise ValueError unless each member is prime (tested first) and seq strictly increases."""
+    prev = 1
+    for p in seq:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p <= prev:
+            raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")
+        prev = p

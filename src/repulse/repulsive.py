@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import primes
-from .arith import Factorization, phi_a
+from .arith import Factorization, _trusted, phi_a
 
 EXACT_PRODUCT_LIMIT = 64  # sets at most this large also get an exact rational product
 
@@ -27,23 +27,16 @@ EXACT_PRODUCT_LIMIT = 64  # sets at most this large also get an exact rational p
 class PrimeSet:
     """A candidate a-self-repulsive set with its repulsion parameter and cutoff.
 
-    Every member is proven prime by primes.is_prime, so a member at or above
-    primes.MR_LIMIT raises ValueError.
+    Members are proven prime once: by the constructor via primes.check_increasing_primes, or
+    by the sieve or factor() before greedy_construct or set_of_integer uses arith._trusted.
     """
 
     a: int
     primes: tuple[int, ...]
     cutoff: float
-    validated: bool = False
 
     def __post_init__(self) -> None:
-        prev = 1
-        for p in self.primes:
-            if p <= prev:
-                raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")
-            if not primes.is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
+        primes.check_increasing_primes(self.primes)
         if not self.cutoff >= 2:  # also refuses NaN
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.primes and self.primes[-1] > self.cutoff:
@@ -94,9 +87,7 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
     property fails.  Non-prime elements are rejected.
     """
     elems = sorted(set(int(p) for p in prime_seq))
-    for p in elems:
-        if not primes.is_prime(p):
-            raise ValueError(f"element {p} is not prime")
+    primes.check_increasing_primes(elems)
     for p in elems:
         target = a % p
         for q in elems:
@@ -117,8 +108,9 @@ def set_of_integer(f: Factorization, a: int) -> tuple[PrimeSet, SupportDiagnosti
         self_repulsive=check.ok,
         witness=check.witness,
     )
-    cutoff = float(max(support)) if support else 2.0
-    return PrimeSet(a=a, primes=support, cutoff=cutoff, validated=check.ok), diag
+    # the exact largest prime: a float can round below it
+    cutoff = max(support) if support else 2.0
+    return _trusted(PrimeSet, a=a, primes=support, cutoff=cutoff), diag
 
 
 def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
@@ -136,7 +128,7 @@ def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
         if not banned[p] and a % p not in chosen:
             chosen.add(p)
             banned[a % p::p] = True
-    return PrimeSet(a=a, primes=tuple(sorted(chosen)), cutoff=float(x), validated=True)
+    return _trusted(PrimeSet, a=a, primes=tuple(sorted(chosen)), cutoff=float(x))
 
 
 def stats(u: PrimeSet, x: float) -> SetStats:

@@ -210,7 +210,7 @@ def _make_solution(n: int, m: int, variant: str, sign: int) -> Solution:
     # psi(n) = n + 1 holds only for n prime, so the scan's column proves it;
     # sigma*(n) = n + 1 shows only that n is a prime power, so usigma factors
     if variant == "psi" and sign == 1 and m == 1:
-        f = arith._proven(((n, 1),), n)
+        f = arith._trusted(Factorization, pairs=((n, 1),), value=n)
     else:
         f = arith.factor(n)
     return Solution(n=n, m=m, variant=variant, sign=sign,

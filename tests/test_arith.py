@@ -157,6 +157,12 @@ def test_from_pairs_rejects_composites_beyond_proven_bound(n):
         from_pairs([(n, 1)])
 
 
+def test_from_pairs_member_below_two_is_not_prime():
+    # primality is tested before order, so 1 is not reported as out of order
+    with pytest.raises(ValueError, match="^1 is not prime$"):
+        from_pairs([(1, 2), (3, 1)])
+
+
 # ----- function values -----
 
 

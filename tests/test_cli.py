@@ -209,6 +209,9 @@ def test_sieve_missing_file_is_io_error(capsys, tmp_path):
     pytest.param('{"a": true, "primes": [3, 5], "cutoff": 100}', "a must", id="bool-a"),
     pytest.param('{"a": 1, "primes": [3, 5], "cutoff": NaN}', "cutoff must", id="nan-cutoff"),
     pytest.param('{"a": 1, "primes": [3, 5], "cutoff": "100"}', "cutoff must", id="string-cutoff"),
+    pytest.param('{"a": 1, "primes": [0, 3], "cutoff": 100}', "0 is not prime", id="zero-member"),
+    pytest.param('{"a": 1, "primes": [1, 3], "cutoff": 100}', "1 is not prime", id="one-member"),
+    pytest.param('{"a": 1, "primes": [-7, 3], "cutoff": 100}', "-7 is not prime", id="negative-member"),
 ])
 def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     setfile = tmp_path / "bad.json"
@@ -242,6 +245,15 @@ def test_sieve_composite_beyond_proven_bound_is_usage_error(capsys, tmp_path, me
     assert code == 2
     assert out == ""
     assert "proven only below" in err
+
+
+def test_sieve_negative_window_is_usage_error(capsys, tmp_path):
+    setfile = tmp_path / "u.json"
+    setfile.write_text('{"a": 1, "primes": [3, 5], "cutoff": 100}')
+    code, out, err = run(capsys, "sieve", "--x", "-5", "--w", "3", "--set", str(setfile))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "window length must be >= 0" in err
 
 
 # ----- lemma trials -----

@@ -25,6 +25,7 @@ from repulse.largesieve import (
     tau_ratio_sum,
     _tau_table,
 )
+from repulse import primes
 from repulse.primes import primes_up_to
 from repulse.repulsive import PrimeSet, greedy_construct
 
@@ -45,6 +46,30 @@ def ones_table(x: int) -> dict:
 
 
 # ----- weight g and M_g -----
+
+
+def test_proven_primes_are_not_proven_again(monkeypatch):
+    # greedy's members come from the sieve and from_prime_set's from a PrimeSet;
+    # only the public constructors, the trust boundaries, call is_prime
+    calls = []
+    real = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda n: calls.append(n) or real(n))
+    u = greedy_construct(2e4, 1, 3)
+    sys = from_prime_set(u, start=5, x_len=100.0)
+    assert calls == []
+    assert PrimeSet(a=u.a, primes=u.primes, cutoff=u.cutoff) == u
+    assert calls == list(u.primes)
+    assert sys == SieveSystem(5, 100.0, {p: {0, u.a % p} for p in u.primes})
+
+
+def test_trust_boundaries_still_validate():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        SieveSystem(start=0, x_len=10, omega_p={4: {0}})
+    message = "window length must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        SieveSystem(start=0, x_len=-1, omega_p={})
+    with pytest.raises(ValueError, match=message):
+        from_prime_set(PrimeSet(a=1, primes=(3,), cutoff=10.0), x_len=-1)
 
 
 def test_g_examples():

@@ -126,7 +126,7 @@ def test_greedy_output_is_self_repulsive(x, a, start):
         x = float(start)
     u = greedy_construct(x, a, start)
     assert is_self_repulsive(u.primes, a).ok
-    assert u.validated and u.cutoff == x
+    assert u.cutoff == x
     # Maximality: every prime in [start, x] not chosen would break the property.
     from repulse.primes import iter_primes
 
@@ -186,6 +186,15 @@ def test_support_product_is_totient_ratio():
         s = stats(u, u.cutoff)
         assert s.p_u_exact == Fraction(n, euler_phi(f))
         assert s.theta_u == pytest.approx(math.log(n))
+
+
+def test_support_cutoff_is_the_exact_largest_prime():
+    # float(2**60 + 33) rounds below the prime, so a float cutoff would drop it
+    p = 1152921504606847009
+    assert float(p) < p
+    u, _ = set_of_integer(factor(p), 1)
+    assert u.primes == (p,) and u.cutoff >= p
+    assert stats(u, u.cutoff).pi_u == 1
 
 
 def test_prime_set_validation():

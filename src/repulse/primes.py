@@ -69,14 +69,23 @@ def smallest_prime_factor() -> np.ndarray:
 
 def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Primes in [lo, hi), for 2 <= lo and hi <= MAX_ENUMERATION + 1, as int64
-    arrays of one SEGMENT_SIZE block each; base primes come from small_primes()."""
+    arrays of one SEGMENT_SIZE block each; base primes come from small_primes().
+
+    Each block flags its odd integers only: row i is (seg_lo | 1) + 2i, so the
+    odd multiples of an odd p sit p rows apart, and 2 is prepended to the
+    block that starts at 2."""
     ps = small_primes()
-    base = ps[:int(np.searchsorted(ps, math.isqrt(max(hi - 1, 0)), side="right"))].tolist()
+    base = ps[1:int(np.searchsorted(ps, math.isqrt(max(hi - 1, 0)), side="right"))].tolist()
     for seg_lo in range(lo, hi, Config.SEGMENT_SIZE):
-        flags = np.ones(min(Config.SEGMENT_SIZE, hi - seg_lo), dtype=bool)
+        first = seg_lo | 1
+        flags = np.ones((min(seg_lo + Config.SEGMENT_SIZE, hi) - first + 1) // 2, dtype=bool)
         for p in base:
-            flags[max(p * p, -(-seg_lo // p) * p) - seg_lo::p] = False
-        yield np.flatnonzero(flags).astype(np.int64) + seg_lo
+            m = max(p * p, -(-first // p) * p)
+            if m % 2 == 0:
+                m += p  # the first odd multiple
+            flags[(m - first) // 2::p] = False
+        seg = np.flatnonzero(flags).astype(np.int64) * 2 + first
+        yield np.concatenate(([2], seg)) if seg_lo == 2 else seg
 
 
 def primes_up_to(n: int) -> np.ndarray:

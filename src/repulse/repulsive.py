@@ -88,6 +88,11 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
     """
     elems = sorted(set(int(p) for p in prime_seq))
     primes.check_increasing_primes(elems)
+    return _repulsion(elems, a)
+
+
+def _repulsion(elems: Sequence[int], a: int) -> RepulsionCheck:
+    # the pairwise test on distinct primes already proven
     for p in elems:
         target = a % p
         for q in elems:
@@ -98,8 +103,8 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
 
 def set_of_integer(f: Factorization, a: int) -> tuple[PrimeSet, SupportDiagnostics]:
     """Prime support of a factorization, with the coprimality-criterion diagnostics."""
-    support = tuple(p for p, _ in f.pairs)
-    check = is_self_repulsive(support, a)
+    support = tuple(p for p, _ in f.pairs)  # proven and strictly increasing
+    check = _repulsion(support, a)
     g = math.gcd(f.value, abs(phi_a(f, a)))
     diag = SupportDiagnostics(
         gcd_phi_a=g,

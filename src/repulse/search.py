@@ -11,7 +11,10 @@ Fermat primes.
 
 Each query sieves only the columns it reads: a scan its variant's column,
 an audit its own column, over the odd n only, since parity settles the even
-n in closed form.
+n in closed form.  A scan of psi/+1 or sigma*/+1, where m = 1 holds exactly
+on the primes and the prime powers, takes the factorization of each such hit
+from the column and one map of the proper prime powers in range; only its
+other hits are factored.
 
 The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
@@ -206,11 +209,27 @@ class Solution:
         }
 
 
-def _make_solution(n: int, m: int, variant: str, sign: int) -> Solution:
-    # psi(n) = n + 1 holds only for n prime, so the scan's column proves it;
-    # sigma*(n) = n + 1 shows only that n is a prime power, so usigma factors
-    if variant == "psi" and sign == 1 and m == 1:
-        f = arith._trusted(Factorization, pairs=((n, 1),), value=n)
+def _proper_prime_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
+    """{p**e: (p, e)} for the prime powers p**e in [lo, hi] with e >= 2."""
+    out = {}
+    for p in primes.primes_up_to(math.isqrt(hi)).tolist():
+        q, e = p * p, 2
+        while q <= hi:
+            if q >= lo:
+                out[q] = (p, e)
+            q, e = q * p, e + 1
+    return out
+
+
+def _make_solution(n: int, m: int, variant: str, sign: int,
+                   powers: Optional[dict[int, tuple[int, int]]] = None) -> Solution:
+    # A scan of psi/+1 or sigma*/+1 passes `powers`, and its column then proves
+    # every m = 1 hit: psi(n) = n + 1 only for n prime, sigma*(n) = n + 1 only
+    # for n = p**e, so n is the proper power `powers` maps or else the prime
+    # (n, 1).  Every other solution, m >= 2 or an audit's, is factored.
+    if powers is not None and m == 1:
+        p, e = powers.get(n, (n, 1))
+        f = arith._trusted(Factorization, pairs=((p, e),), value=n)
     else:
         f = arith.factor(n)
     return Solution(n=n, m=m, variant=variant, sign=sign,
@@ -259,10 +278,12 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     lo = max(lo, 2)
     if hi < lo:
         return
+    # the m = 1 family the column proves, as _make_solution reads it
+    powers = _proper_prime_powers(lo, hi) if sign == 1 and variant not in TOTIENT_VARIANTS else None
     for tbl in _table_stream(lo, hi, jobs, (variant,)):
         hit, ms = _hit_arrays(tbl, variant, sign, min_m)
         for n, m in zip(tbl.n[hit].tolist(), ms.tolist()):
-            yield _make_solution(n, m, variant, sign)
+            yield _make_solution(n, m, variant, sign, powers)
 
 
 # ----- divisibility audits -----

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repulse import primes
 from repulse.primes import MR_LIMIT, Config, is_prime, iter_primes, primes_up_to
 
 SMALL = Config.SMALL_SIEVE_LIMIT
@@ -121,3 +122,33 @@ def test_segments_match_sympy_across_segment_edges(seg, lo, width):
         got_table = primes_up_to(SMALL + width)
     assert got_iter == oracle(lo, lo + width)
     assert got_table[got_table > SMALL].tolist() == oracle(SMALL + 1, SMALL + width + 1)
+
+
+# ----- odd-only segments -----
+
+
+@pytest.mark.parametrize("lo", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("width", [0, 1, 2, 41])
+def test_segments_at_the_edges_of_the_odd_layout(lo, width):
+    # an odd segment size starts blocks at both parities; a block flags only
+    # its odd integers, and the block starting at 2 gets 2 prepended
+    for seg in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Config, "SEGMENT_SIZE", seg)
+            blocks = list(primes._segments(lo, lo + width))
+        starts = range(lo, lo + width, seg)
+        assert len(blocks) == len(starts)
+        for seg_lo, block in zip(starts, blocks):
+            assert block.dtype == np.int64
+            assert block.tolist() == oracle(seg_lo, min(seg_lo + seg, lo + width)), (seg, seg_lo)
+
+
+def test_segmented_tables_are_int64():
+    assert primes_up_to(2 * 10**6).dtype == np.int64
+    blocks = list(primes._segments(SMALL + 1, 2 * 10**6 + 1))
+    assert len(blocks) == 1 and all(b.dtype == np.int64 for b in blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Config, "SEGMENT_SIZE", 4099)
+        blocks = list(primes._segments(2, 50_000))
+    assert len(blocks) == 13 and all(b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == oracle(2, 50_000)

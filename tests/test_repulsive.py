@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repulse import primes
 from repulse.arith import euler_phi, factor
 from repulse.primes import iter_primes
 from repulse.repulsive import (
@@ -55,6 +56,26 @@ def test_support_diagnostics_examples():
     _, diag21 = set_of_integer(factor(21), 1)
     assert diag21.gcd_phi_a == 3 and not diag21.criterion
     assert not diag21.self_repulsive and diag21.witness == (3, 7)
+
+
+@pytest.mark.parametrize("n", [
+    3 * 5 * 7 * 11 * 118_750_098_349,  # one support prime above the 10^6 table
+    4_611_686_014_132_420_609,  # (2**31 - 1)**2
+])
+def test_support_diagnostics_do_not_reprove_the_support(monkeypatch, n):
+    # factor() has proven every support prime, so set_of_integer makes no
+    # is_prime call; its verdict is the public, validating path's
+    f = factor(n)
+    calls = []
+    real = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda m: calls.append(m) or real(m))
+    got = {a: set_of_integer(f, a) for a in range(-6, 7)}
+    assert calls == []
+    for a, (ps, diag) in got.items():
+        public = is_self_repulsive(ps.primes, a)
+        assert (diag.self_repulsive, diag.witness) == (public.ok, public.witness)
+    assert got[1][1].witness == ((3, 7) if n % 3 == 0 else None)
+    assert len(calls) == 13 * len(f.pairs)  # the public path proves each member
 
 
 def test_coprimality_criterion_forces_structure_to_hundred_thousand():

@@ -231,6 +231,51 @@ def test_scan_usigma_plus_min1_is_prime_powers():
     assert all(s.classification in ("prime", "prime-power") for s in sols)
 
 
+def assert_factored_as_oracle(sols) -> None:
+    # the column-built record equals factor(n)'s, validated again by from_pairs
+    for sol in sols:
+        f = arith.factor(sol.n)
+        assert sol.factorization == arith.from_pairs(f.pairs), sol
+        assert sol.classification == classify(f), sol
+
+
+def test_scan_usigma_plus_prime_powers_match_validated_factorization():
+    # m = 1 proves n a prime power; the proper ones come from the scan's map
+    sols = list(scan(2, 10**6, "usigma", 1))
+    assert len(sols) == 78498 + 236 and all(s.m == 1 for s in sols)
+    assert_factored_as_oracle(sols)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("center, power", [
+    (2**29, (2, 29)), (3**18, (3, 18)), (5**12, (5, 12)), (7**10, (7, 10)),
+    (31607**2, (31607, 2)),  # the square of the largest base prime below sqrt(1e9)
+    (search.Config.MAX_SCAN_LIMIT - 256, None),  # the window ending at the scan limit
+])
+def test_scan_usigma_plus_windows_straddling_prime_powers(center, power, jobs):
+    sols = list(scan(center - 256, min(center + 256, search.Config.MAX_SCAN_LIMIT),
+                     "usigma", 1, jobs=jobs))
+    assert_factored_as_oracle(sols)
+    if power is not None:
+        assert (center, (power,)) in [(s.n, s.factorization.pairs) for s in sols]
+        for lo, hi in ((center, center + 1), (center - 1, center)):  # the power at either end
+            edge = [s for s in scan(lo, hi, "usigma", 1, jobs=jobs) if s.n == center]
+            assert [(s.factorization.pairs, s.classification) for s in edge] \
+                == [((power,), "prime-power")]
+
+
+def test_scan_unit_offset_family_makes_no_factor_call(monkeypatch):
+    calls = []
+    real = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
+    sols = list(scan(2, 1000, "usigma", 1))
+    assert [s.n for s in sols] == [n for n in range(2, 1001) if len(real(n).pairs) == 1]
+    assert calls == []
+    assert pairs(scan(2, 1000, "usigma", 1, min_m=2)) == []
+    # every other solution is factored
+    assert pairs(scan(2, 1000, "usigma", -1)) == [(2, 2)] and calls == [2]
+
+
 def test_scan_usigma_minus_only_two():
     assert pairs(scan(2, NAIVE_LIMIT, "usigma", -1)) == [(2, 2)]
 

@@ -12,7 +12,12 @@ The module has three layers:
   solution;
 * ``theorem_check``, which compares an exact solution (n, M) against
   the headline triple-log and omega-log bounds, reporting pass / fail /
-  not-applicable.
+  not-applicable.  It validates its arguments once, reads the kernel n1
+  and omega(n1) in one pass over the factorization, and returns a
+  ``TheoremCheck`` holding two ``SubCheck``s.  Both are NamedTuples:
+  immutable, hashable, cheap to build and to pickle, and also plain
+  tuples, so they index, iterate, unpack, and compare equal to a tuple
+  of the same values.
 
 Chain-grid reports (``chain_grid_report``) evaluate the envelope
 inequalities that link the correction factors to their advertised
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -366,6 +371,11 @@ def solve_m(f: Factorization, variant: str, sign: int) -> Optional[int]:
     sigma variants solve f(n) = M * n + sign.
     """
     _check_variant_sign(variant, sign)
+    return _solve_m(f, variant, sign)
+
+
+def _solve_m(f: Factorization, variant: str, sign: int) -> Optional[int]:
+    # solve_m after its variant and sign checks, which the caller has made
     n = f.value
     if n < 2:
         raise ValueError(f"n = {n} out of range: need n >= 2")
@@ -413,8 +423,7 @@ def assemble_M(f: Factorization, variant: str, sign: int) -> float:
 _E_E = math.exp(math.e)
 
 
-@dataclass(frozen=True)
-class SubCheck:
+class SubCheck(NamedTuple):
     """One bound comparison: M against constant * iterated log."""
 
     name: str
@@ -424,14 +433,14 @@ class SubCheck:
     holds: Optional[bool]
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Combined verdict for a solution (n, M) of one variant equation.
 
     status is "pass" when every applicable bound holds, "fail" when an
     applicable bound is violated with M >= 2, and "not_applicable" when
     no bound applies (or only M = 1 cases are violated: those carry no
-    content since the bounds target M >= 2).
+    content since the bounds target M >= 2).  bool() is False only for
+    "fail".
     """
 
     n: int
@@ -461,54 +470,52 @@ def theorem_check(
     c2 * loglog(omega(n1)) and applies only when omega(n1) >= 4.  The
     kernel n1 is the product of the primes of f with exponent 1, and
     omega(n1) is their count.  With verify_solution (default) the pair
-    must satisfy the equation exactly (via solve_m), otherwise
+    must satisfy the equation exactly (as solve_m computes it), otherwise
     ValueError.
     """
     _check_variant_sign(variant, sign)
     if m < 1:
         raise ValueError(f"m = {m} out of range: need m >= 1")
+    n = f.value
     if verify_solution:
-        expected = solve_m(f, variant, sign)
+        expected = _solve_m(f, variant, sign)
         if expected != m:
             raise ValueError(
-                f"(n, m) = ({f.value}, {m}) does not solve the "
+                f"(n, m) = ({n}, {m}) does not solve the "
                 f"{variant}/{sign:+d} equation (exact m: {expected})"
             )
 
-    units = [p for p, e in f.pairs if e == 1]
-    tri_arg = f.value if variant in ("phi", "psi") else math.prod(units)
-    tri_applicable = tri_arg > _E_E
-    if tri_applicable:
+    kernel, r = 1, 0  # n1 and omega(n1)
+    for p, e in f.pairs:
+        if e == 1:
+            kernel *= p
+            r += 1
+
+    tri_arg = n if variant in ("phi", "psi") else kernel
+    if tri_arg > _E_E:
         tri_val = math.log(math.log(math.log(tri_arg)))
         tri_bound = TRIPLE_LOG_CONSTANTS[variant] * tri_val
-        tri = SubCheck("triple_log", True, tri_val, tri_bound, m < tri_bound)
+        tri_holds = m < tri_bound
+        tri = SubCheck("triple_log", True, tri_val, tri_bound, tri_holds)
     else:
+        tri_holds = None
         tri = SubCheck("triple_log", False, float(tri_arg), None, None)
 
-    r = len(units)
-    om_applicable = r >= OMEGA_MINIMUM
-    if om_applicable:
-        om_val = math.log(math.log(r))
-        om_bound = OMEGA_LOG_CONSTANTS[variant] * om_val
-        om = SubCheck("omega_log", True, float(r), om_bound, m < om_bound)
+    if r >= OMEGA_MINIMUM:
+        om_bound = OMEGA_LOG_CONSTANTS[variant] * math.log(math.log(r))
+        om_holds = m < om_bound
+        om = SubCheck("omega_log", True, float(r), om_bound, om_holds)
     else:
+        om_holds = None
         om = SubCheck("omega_log", False, float(r), None, None)
 
-    applicable = [s for s in (tri, om) if s.applicable]
-    if not applicable:
+    # holds is None where a bound does not apply
+    if tri_holds is None and om_holds is None:
         status = "not_applicable"
-    elif all(s.holds for s in applicable):
+    elif tri_holds is not False and om_holds is not False:
         status = "pass"
     elif m == 1:
         status = "not_applicable"
     else:
         status = "fail"
-    return TheoremCheck(
-        n=f.value,
-        m=m,
-        variant=variant,
-        sign=sign,
-        status=status,
-        triple_log=tri,
-        omega_log=om,
-    )
+    return TheoremCheck(n, m, variant, sign, status, tri, om)

@@ -50,7 +50,11 @@ def _csv_value(v: object) -> object:
 
 
 def emit_rows(rows: Iterable[dict], fmt: str, out: IO[str]) -> None:
-    """Stream dict rows in the requested format; rows must share their keys."""
+    """Stream dict rows in the requested format; rows must share their keys.
+
+    Each row is written as soon as it arrives, never batched: a sparse scan
+    shows each hit on a terminal when it is found, not when the scan ends.
+    """
     if fmt == "jsonl":
         for row in rows:
             out.write(json.dumps(row) + "\n")

@@ -12,9 +12,9 @@ Fermat primes.
 Each query sieves only the columns it reads: a scan its variant's column,
 an audit its own column, over the odd n only, since parity settles the even
 n in closed form.  A scan of psi/+1 or sigma*/+1, where m = 1 holds exactly
-on the primes and the prime powers, takes the factorization of each such hit
-from the column and one map of the proper prime powers in range; only its
-other hits are factored.
+on the primes and the prime powers, takes the factorization and class of each
+such hit from the column and one map of the proper prime powers in range; only
+its other hits are factored.
 
 The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
@@ -29,7 +29,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -187,9 +187,13 @@ def classify(f: Factorization) -> str:
     return "composite-nonsquarefree"
 
 
-@dataclass(frozen=True)
-class Solution:
-    """One exact solution (n, m) of a variant equation."""
+class Solution(NamedTuple):
+    """One exact solution (n, m) of a variant equation.
+
+    A NamedTuple: immutable and hashable, and also a plain tuple, so it
+    indexes, iterates, unpacks, and compares equal to a tuple of the
+    same values.
+    """
 
     n: int
     m: int
@@ -226,14 +230,14 @@ def _make_solution(n: int, m: int, variant: str, sign: int,
     # A scan of psi/+1 or sigma*/+1 passes `powers`, and its column then proves
     # every m = 1 hit: psi(n) = n + 1 only for n prime, sigma*(n) = n + 1 only
     # for n = p**e, so n is the proper power `powers` maps or else the prime
-    # (n, 1).  Every other solution, m >= 2 or an audit's, is factored.
+    # (n, 1), and the pair gives the class.  Every other solution, m >= 2 or
+    # an audit's, is factored and classified.
     if powers is not None and m == 1:
         p, e = powers.get(n, (n, 1))
         f = arith._trusted(Factorization, pairs=((p, e),), value=n)
-    else:
-        f = arith.factor(n)
-    return Solution(n=n, m=m, variant=variant, sign=sign,
-                    factorization=f, classification=classify(f))
+        return Solution(n, m, variant, sign, f, "prime" if e == 1 else "prime-power")
+    f = arith.factor(n)
+    return Solution(n, m, variant, sign, f, classify(f))
 
 
 def default_min_m(variant: str) -> int:

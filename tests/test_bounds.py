@@ -2,6 +2,7 @@
 theorem-style checks, and the chain-grid reports."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from repulse.bounds import (
     STIELTJES_GAMMA1,
     TRIPLE_LOG_CONSTANTS,
     SubCheck,
+    TheoremCheck,
     assemble_M,
     assemble_M_exact,
     boundary_log_count,
@@ -45,6 +47,7 @@ from repulse.bounds import (
     thm21_pi_bound,
 )
 from repulse.catalog import load_catalog
+from repulse.search import scan
 
 G = EULER_GAMMA
 CATALOG = load_catalog()
@@ -564,6 +567,32 @@ def test_theorem_check_rejects_non_solutions():
         theorem_check(factor(15), 0, "phi", 1)
 
 
+def test_theorem_check_argument_errors_keep_their_messages():
+    # the arguments are validated once, in theorem_check, before the
+    # unchecked solver runs; each error keeps its message
+    f = factor(15)
+    with pytest.raises(ValueError, match=r"^unknown variant 'sigma'$"):
+        theorem_check(f, 2, "sigma", 1)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+        theorem_check(f, 2, "phi", 0)
+    with pytest.raises(ValueError, match=r"^m = 0 out of range: need m >= 1$"):
+        theorem_check(f, 0, "phi", 1)
+    with pytest.raises(ValueError, match=r"^\(n, m\) = \(15, 3\) does not solve the "
+                       r"phi/\+1 equation \(exact m: 2\)$"):
+        theorem_check(f, 3, "phi", 1)
+    with pytest.raises(ValueError, match=r"^\(n, m\) = \(10, 2\) does not solve the "
+                       r"psi/-1 equation \(exact m: None\)$"):
+        theorem_check(factor(10), 2, "psi", -1)
+    with pytest.raises(ValueError, match=r"^n = 1 out of range: need n >= 2$"):
+        theorem_check(factor(1), 1, "phi", 1)
+    # solve_m keeps its own checks
+    with pytest.raises(ValueError, match=r"^unknown variant 'sigma'$"):
+        solve_m(f, "sigma", 1)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+        solve_m(f, "phi", 0)
+    assert solve_m(f, "phi", 1) == 2
+
+
 def oracle_subchecks(f, m, variant):
     # the kernel n1 from profile(f), omega(n1) from factoring n1 afresh
     n1 = profile(f).n1
@@ -583,19 +612,104 @@ def oracle_subchecks(f, m, variant):
     return tri, om
 
 
+def oracle_check(f, m, variant, sign):
+    # the full verdict: a bound that applies must hold, and an M = 1
+    # violation carries no content, so it demotes to not-applicable
+    tri, om = oracle_subchecks(f, m, variant)
+    applicable = [s for s in (tri, om) if s.applicable]
+    if not applicable:
+        status = "not_applicable"
+    elif all(s.holds for s in applicable):
+        status = "pass"
+    elif m == 1:
+        status = "not_applicable"
+    else:
+        status = "fail"
+    return TheoremCheck(n=f.value, m=m, variant=variant, sign=sign, status=status,
+                        triple_log=tri, omega_log=om)
+
+
 def test_theorem_check_kernel_matches_factoring_oracle():
     # the range holds non-squarefree n with n1 != n, powerful n with n1 = 1,
-    # and n with omega(n1) >= 4, where the omega path applies
+    # and n with omega(n1) >= 4, where the omega path applies; m = 50 fails
+    # wherever a bound applies, and m = 8 fails only the omega path there
+    # (its bound is below 6.5 at omega(n1) = 4, the triple-log one above 8)
     kernels = {n: profile(factor(n)).n1 for n in (4, 12, 36, 2310)}
     assert kernels == {4: 1, 12: 3, 36: 1, 2310: 2310}
+    statuses = set()
     for n in range(1, 3001):
         f = factor(n)
         for variant in ("phi", "uphi", "psi", "usigma"):
-            for m in (1, 2):
-                want = oracle_subchecks(f, m, variant)
+            for m in (1, 2, 8, 50):
                 for sign in (1, -1):
+                    want = oracle_check(f, m, variant, sign)
                     chk = theorem_check(f, m, variant, sign, verify_solution=False)
-                    assert (chk.triple_log, chk.omega_log) == want, (n, variant, sign, m)
+                    assert chk == want, (n, variant, sign, m)
+                    assert type(chk.triple_log) is type(chk.omega_log) is SubCheck
+                    statuses.add(chk.status)
+    assert statuses == {"pass", "fail", "not_applicable"}
+
+
+@pytest.mark.parametrize("variant", ["phi", "uphi", "psi", "usigma"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_theorem_check_matches_oracle_on_scan_solutions(variant, sign):
+    # min_m = 1 keeps every solution the default scan yields, and adds the
+    # m = 1 families of the totient scans
+    sols = list(scan(2, 10**5, variant, sign, min_m=1))
+    assert sols
+    for sol in sols:
+        f = sol.factorization
+        want = oracle_check(f, sol.m, variant, sign)
+        assert theorem_check(f, sol.m, variant, sign) == want, sol
+
+
+# ----- result records -----
+
+
+def test_result_records_field_order():
+    assert SubCheck._fields == ("name", "applicable", "argument", "bound", "holds")
+    assert TheoremCheck._fields == ("n", "m", "variant", "sign", "status",
+                                    "triple_log", "omega_log")
+
+
+def test_result_records_are_immutable():
+    chk = theorem_check(factor(65535), 2, "phi", 1)
+    for record, field in ((chk, "status"), (chk, "n"), (chk.omega_log, "holds"),
+                          (chk.triple_log, "bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        chk.extra = 1
+
+
+def test_result_records_equality_and_hash():
+    a = theorem_check(factor(65535), 2, "phi", 1)
+    b = theorem_check(factor(65535), 2, "phi", 1)
+    assert a == b and hash(a) == hash(b)
+    assert a.omega_log == b.omega_log and hash(a.omega_log) == hash(b.omega_log)
+    assert a != a._replace(status="fail")
+    # a record is a tuple: it indexes, unpacks and equals the plain tuple of its values
+    n, m, variant, sign, status, tri, om = a
+    assert (n, m, variant, sign, status) == (65535, 2, "phi", 1, "pass")
+    assert a[5] is tri and tuple(om) == ("omega_log", True, 4.0, om.bound, True)
+    assert om == ("omega_log", True, 4.0, om.bound, True)
+
+
+def test_theorem_check_bool_is_false_only_for_fail():
+    base = theorem_check(factor(15), 2, "phi", 1)
+    for status, truth in (("pass", True), ("not_applicable", True), ("fail", False)):
+        assert bool(base._replace(status=status)) is truth
+    assert bool(theorem_check(factor(255), 50, "phi", 1, verify_solution=False)) is False
+
+
+def test_result_records_pickle_round_trip():
+    for chk in (theorem_check(factor(65535), 2, "phi", 1),
+                theorem_check(factor(255), 50, "phi", 1, verify_solution=False),
+                theorem_check(factor(9), 1, "uphi", -1)):
+        for record in (chk, chk.triple_log, chk.omega_log):
+            back = pickle.loads(pickle.dumps(record))
+            assert type(back) is type(record) and back == record
+            assert hash(back) == hash(record)
 
 
 def test_theorem_check_unitary_kernel_argument():

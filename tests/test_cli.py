@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface: formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,13 +8,33 @@ import sys
 
 import pytest
 
-from repulse import cli, largesieve
+from repulse import cli, largesieve, search
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ----- output plumbing -----
+
+
+def test_emit_rows_jsonl_writes_each_row_before_the_next():
+    # rows are not batched: a sparse scan shows each hit when it is found
+    out = io.StringIO()
+    written_before = []
+
+    def rows():
+        for sol in search.scan(2, 300, "psi", 1):
+            written_before.append(out.getvalue())
+            yield sol.to_json()
+
+    cli.emit_rows(rows(), "jsonl", out)
+    lines = [json.dumps(s.to_json()) + "\n" for s in search.scan(2, 300, "psi", 1)]
+    assert len(lines) == 62
+    assert written_before == ["".join(lines[:k]) for k in range(len(lines))]
+    assert out.getvalue() == "".join(lines)
 
 
 # ----- global behaviour -----

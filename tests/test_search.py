@@ -1,6 +1,8 @@
 """Tests for the block-sieve scanner, audits, and the Fermat-prime family."""
 
 import itertools
+import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +353,89 @@ def test_solution_to_json_schema():
     assert js["class"] == "prime"
     neg = next(iter(scan(2, 10, "psi", -1, min_m=1)))
     assert neg.to_json()["sign"] == "-1"
+
+
+# ----- the Solution record -----
+
+
+def only(sols):
+    (sol,) = sols
+    return sol
+
+
+def test_solution_to_json_pinned():
+    # a psi/+1 prime, a sigma*/+1 prime power (both built from the column)
+    # and a factored composite; the jsonl bytes keep their key order
+    cases = [
+        (only(scan(101, 101, "psi", 1)),
+         '{"n": "101", "m": "1", "variant": "psi", "sign": "+1", '
+         '"factorization": [[101, 1]], "class": "prime"}'),
+        (only(scan(243, 243, "usigma", 1)),
+         '{"n": "243", "m": "1", "variant": "usigma", "sign": "+1", '
+         '"factorization": [[3, 5]], "class": "prime-power"}'),
+        (fermat_family(3),
+         '{"n": "255", "m": "2", "variant": "phi", "sign": "+1", '
+         '"factorization": [[3, 1], [5, 1], [17, 1]], "class": "composite-squarefree"}'),
+    ]
+    for sol, line in cases:
+        assert json.dumps(sol.to_json()) == line
+
+
+def test_solution_record_semantics():
+    assert Solution._fields == ("n", "m", "variant", "sign", "factorization",
+                                "classification")
+    sol = only(scan(243, 243, "usigma", 1))
+    for field in Solution._fields:
+        with pytest.raises(AttributeError):
+            setattr(sol, field, None)
+    with pytest.raises(AttributeError):
+        sol.extra = 1
+    # equal fields give equal, equally hashed records, however the factorization was built
+    same = Solution(n=243, m=1, variant="usigma", sign=1,
+                    factorization=arith.from_pairs([(3, 5)]), classification="prime-power")
+    assert sol == same and hash(sol) == hash(same)
+    assert sol != same._replace(m=2)
+    # a record is a tuple: it indexes, unpacks and equals the plain tuple of its values
+    n, m, variant, sign, f, cls = sol
+    assert sol == (243, 1, "usigma", 1, f, "prime-power") and sol[4] is f
+    assert (n, m, variant, sign, cls) == (243, 1, "usigma", 1, "prime-power")
+
+
+def test_solution_pickle_round_trip():
+    # the column-built factorizations come from arith._trusted, which skips the
+    # constructor's checks; they and the factored ones survive a round trip
+    sols = [only(scan(101, 101, "psi", 1)), only(scan(243, 243, "usigma", 1)),
+            fermat_family(3), only(scan(2, 10, "psi", -1, min_m=1))]
+    for sol in sols:
+        back = pickle.loads(pickle.dumps(sol))
+        assert type(back) is Solution and back == sol and hash(back) == hash(sol)
+        assert type(back.factorization) is arith.Factorization
+        assert back.factorization == arith.from_pairs(sol.factorization.pairs)
+        assert back.to_json() == sol.to_json()
+
+
+def test_unit_offset_family_is_classified_from_the_column(monkeypatch):
+    real = search.classify
+    calls = []
+    monkeypatch.setattr(search, "classify", lambda f: calls.append(f.value) or real(f))
+    for variant in ("psi", "usigma"):
+        sols = list(scan(2, 10**5, variant, 1))
+        assert calls == [] and len(sols) >= 9592
+        for sol in sols:
+            assert sol.classification == real(arith.factor(sol.n)), sol
+    # the factored hits still go through classify: the sign -1 hits and the
+    # totient scans
+    for variant in ("psi", "usigma"):
+        assert pairs(scan(2, 10**5, variant, -1)) == [(2, 2)]
+    assert calls == [2, 2]
+    calls.clear()
+    ns = [s.n for s in scan(2, 10**5, "phi", 1, min_m=2)]
+    assert ns and calls == ns
+    # min_m = 2 finds no psi/+1 or sigma*/+1 hit, so call the builder directly:
+    # with the map passed, an m >= 2 hit is still factored and classified
+    calls.clear()
+    sol = search._make_solution(15, 2, "psi", 1, search._proper_prime_powers(2, 100))
+    assert calls == [15] and sol.classification == "composite-squarefree"
 
 
 def test_scan_argument_validation():

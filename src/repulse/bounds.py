@@ -33,6 +33,7 @@ constants); a test pins each one to its catalog claim.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -352,7 +353,9 @@ def chain_grid_report(
 def _check_variant_sign(variant: str, sign: int) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or not hasattr(sign, "__index__"):  # 1.0 == 1, True == 1
+        raise TypeError(f"sign must be an integer, got {sign!r}")
+    if operator.index(sign) not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 

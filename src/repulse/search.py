@@ -16,6 +16,9 @@ on the primes and the prime powers, takes the factorization and class of each
 such hit from the column and one map of the proper prime powers in range; only
 its other hits are factored.
 
+Scans and audits share one block loop: a worker sieves a block and returns only
+its hits, so the table dies in the worker and at most `jobs` tables are live.
+
 The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
 """
@@ -55,8 +58,8 @@ COLUMNS = ("phi", "uphi", "psi", "usigma", "omega", "n1")
 # Multiplicative columns: f(p**e) from p and d = p**(e-1), and f(r) for the
 # leftover cofactor r, which is a prime with exponent 1 or else 1.
 _MULTIPLICATIVE = {
-    "phi": (lambda p, d: d * (p - 1), lambda r: np.maximum(r - 1, 1)),
-    "uphi": (lambda p, d: d * p - 1, lambda r: np.maximum(r - 1, 1)),
+    "phi": (lambda p, d: d * (p - 1), lambda r: r - (r > 1)),
+    "uphi": (lambda p, d: d * p - 1, lambda r: r - (r > 1)),
     "psi": (lambda p, d: d * (p + 1), lambda r: r + (r > 1)),
     "usigma": (lambda p, d: d * p + 1, lambda r: r + (r > 1)),
     "n1": (lambda p, d: np.where(d == 1, p, 1), lambda r: r),
@@ -93,7 +96,7 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     rows i = -lo * step**-1 (mod p**k), so each prime p <= sqrt(hi - 1)
     updates its multiples through strided slices in either layout; the odd
     layout skips p = 2.  Any n < hi has at most one prime factor above
-    sqrt(hi - 1), left over at the end.
+    sqrt(hi - 1), left over at the end and computed in the factored part's buffer.
 
     One dtype rule holds for every range: n, the factored part of n, the
     exponent array and the phi, phi* and n1 columns are int32; psi and
@@ -145,34 +148,12 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
             cols[c][s] *= prime_power(p, d)
         if omega is not None:
             omega[s] += 1
-    rem = n // done
+    rem = np.floor_divide(n, done, out=done)
     for c, _, leftover in updates:
         cols[c] *= leftover(rem)
     if omega is not None:
         omega += rem > 1
     return BlockTable(lo=lo, hi=hi, n=n, omega=omega, **cols)
-
-
-def _table_stream(lo: int, hi: int, jobs: int, columns: Collection[str] = COLUMNS,
-                  odd: bool = False) -> Iterator[BlockTable]:
-    """Yield the tables of blocks of Config.BLOCK_SIZE rows covering the inclusive
-    range [lo, hi] in order; build_table gets `columns` and `odd` as they are.
-    Workers keep only a bounded window live: jobs is capped at the CPU count."""
-    jobs = min(jobs, os.cpu_count() or 1)
-    span = Config.BLOCK_SIZE * (2 if odd else 1)
-    ranges = ((a, min(a + span, hi + 1)) for a in range(lo, hi + 1, span))
-    if jobs <= 1:
-        for a, b in ranges:
-            yield build_table(a, b, columns, odd)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = deque(pool.submit(build_table, a, b, columns, odd)
-                        for a, b in itertools.islice(ranges, jobs + 2))
-        for a, b in ranges:
-            yield pending.popleft().result()
-            pending.append(pool.submit(build_table, a, b, columns, odd))
-        while pending:
-            yield pending.popleft().result()
 
 
 # ----- solutions -----
@@ -252,16 +233,44 @@ def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
     """Rows of tbl whose n solves the variant equation with a multiplier
     >= min_m, and those multipliers; reads tbl.n and the variant's column."""
     if variant in TOTIENT_VARIANTS:
-        den = tbl.phi if variant == "phi" else tbl.uphi
-        num = tbl.n + sign
+        top, den, offset = tbl.n, (tbl.phi if variant == "phi" else tbl.uphi), sign
     else:
-        den = tbl.n
-        num = (tbl.psi if variant == "psi" else tbl.usigma) - sign
+        top, den, offset = (tbl.psi if variant == "psi" else tbl.usigma), tbl.n, -sign
     # num >= 1 for every n >= 2: n + sign >= 1, and psi(n), sigma*(n) >= n + 1.
-    hit = np.flatnonzero(num % den == 0)
-    m = num[hit] // den[hit]
+    num = top + offset
+    hit = np.flatnonzero(np.remainder(num, den, out=num) == 0)  # num now holds the remainder
+    m = (top[hit] + offset) // den[hit]
     keep = m >= min_m
     return hit[keep], m[keep]
+
+
+def _block_hits(a: int, b: int, variant: str, sign: int, min_m: int,
+                odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The hits (n, m) of one block's table, which dies here."""
+    tbl = build_table(a, b, (variant,), odd)
+    hit, m = _hit_arrays(tbl, variant, sign, min_m)
+    return tbl.n[hit], m
+
+
+def _hit_stream(lo: int, hi: int, jobs: int, variant: str, sign: int, min_m: int,
+                odd: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the _block_hits of the Config.BLOCK_SIZE-row blocks covering the inclusive
+    range [lo, hi], in order.  jobs is capped at the CPU count and the number of
+    blocks; a single worker runs without a pool."""
+    starts = range(lo, hi + 1, Config.BLOCK_SIZE * (2 if odd else 1))
+    blocks = ((a, min(a + starts.step, hi + 1), variant, sign, min_m, odd) for a in starts)
+    jobs = min(jobs, os.cpu_count() or 1, len(starts))
+    if jobs <= 1:
+        yield from itertools.starmap(_block_hits, blocks)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pending = deque(pool.submit(_block_hits, *args)
+                        for args in itertools.islice(blocks, jobs + 2))
+        for args in blocks:
+            yield pending.popleft().result()
+            pending.append(pool.submit(_block_hits, *args))
+        while pending:
+            yield pending.popleft().result()
 
 
 def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
@@ -284,9 +293,8 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
         return
     # the m = 1 family the column proves, as _make_solution reads it
     powers = _proper_prime_powers(lo, hi) if sign == 1 and variant not in TOTIENT_VARIANTS else None
-    for tbl in _table_stream(lo, hi, jobs, (variant,)):
-        hit, ms = _hit_arrays(tbl, variant, sign, min_m)
-        for n, m in zip(tbl.n[hit].tolist(), ms.tolist()):
+    for ns, ms in _hit_stream(lo, hi, jobs, variant, sign, min_m):
+        for n, m in zip(ns.tolist(), ms.tolist()):
             yield _make_solution(n, m, variant, sign, powers)
 
 
@@ -343,11 +351,10 @@ def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
     family_count = 0
     if hi >= 2:
         family_count = 1 if variant == "phi" else hi.bit_length() - 1  # 2, or 2, 4, ..., <= hi
-        for tbl in _table_stream(3, hi, jobs, (variant,), odd=True):
-            hit, ms = _hit_arrays(tbl, variant, -1, 1)
+        for ns, ms in _hit_stream(3, hi, jobs, variant, -1, 1, odd=True):
             one = ms == 1
             family_count += int(np.count_nonzero(one))
-            for n, m in zip(tbl.n[hit[~one]].tolist(), ms[~one].tolist()):
+            for n, m in zip(ns[~one].tolist(), ms[~one].tolist()):
                 hits.append(_make_solution(n, m, variant, -1))
     family = "prime" if conjecture == "lehmer" else "prime-power"
     return AuditReport(conjecture=conjecture, hi=hi, counterexamples=tuple(hits),

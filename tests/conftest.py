@@ -1,5 +1,9 @@
 """Shared fixtures; collects acceptance-criterion outcomes for the final summary."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 _ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
@@ -17,6 +21,28 @@ def acceptance():
         _ACCEPTANCE[number] = (title, bool(passed), detail)
 
     return record
+
+
+@pytest.fixture
+def fresh_process_peak():
+    """Run Python code in a fresh process; return its stdout lines and its peak
+    memory in MB.
+
+    The child reports VmHWM, the peak of its own address space: its
+    ru_maxrss would also count the pytest process it was forked from.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads Linux VmHWM")
+
+    def run(code: str) -> tuple[list[str], float]:
+        probe = "; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
+                              text=True, timeout=120, env=env, check=True)
+        *lines, peak_kb = proc.stdout.splitlines()
+        return lines, int(peak_kb) / 1024
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -593,6 +593,25 @@ def test_theorem_check_argument_errors_keep_their_messages():
     assert solve_m(f, "phi", 1) == 2
 
 
+
+@pytest.mark.parametrize("sign, error, message", [
+    (1.0, TypeError, r"^sign must be an integer, got 1\.0$"),
+    (True, TypeError, r"^sign must be an integer, got True$"),
+    (2, ValueError, r"^sign must be \+1 or -1, got 2$"),
+])
+def test_sign_must_be_the_integer_plus_or_minus_one(sign, error, message):
+    # a float or bool equal to +-1 used to pass, and failed later in formatting
+    calls = [lambda: list(scan(2, 10, "psi", sign)),
+             lambda: solve_m(factor(15), "phi", sign),
+             lambda: theorem_check(factor(10), 3, "phi", sign)]
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call()
+    # numpy integers still pass
+    assert solve_m(factor(15), "phi", np.int64(1)) == 2
+    assert theorem_check(factor(15), 2, "phi", np.int32(1)).status != "fail"
+
+
 def oracle_subchecks(f, m, variant):
     # the kernel n1 from profile(f), omega(n1) from factoring n1 afresh
     n1 = profile(f).n1

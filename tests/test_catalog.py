@@ -11,9 +11,6 @@ margin always means the claim is on the wrong side.
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -250,22 +247,15 @@ def test_odd_prime_ratio_empty_window_is_refused():
             cat._eval_odd_prime_mertens_ratio(_ratio_entry(lo, hi))
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
-def test_odd_prime_ratio_streams_in_small_memory():
+def test_odd_prime_ratio_streams_in_small_memory(fresh_process_peak):
     # the packaged entry, in a fresh process; a whole-range float table
-    # peaked near 445 MB.  The child reports VmHWM, the peak of its own
-    # address space: its ru_maxrss would also count the pytest process
-    # it was forked from.
+    # peaked near 445 MB
     code = ("from repulse import catalog as c; "
             "e = c.load_catalog().entry('odd_prime_mertens_six_loglog'); "
-            "print(repr(c._eval_odd_prime_mertens_ratio(e))); "
-            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env, check=True)
-    result, peak_kb = proc.stdout.splitlines()
+            "print(repr(c._eval_odd_prime_mertens_ratio(e)))")
+    (result,), peak_mb = fresh_process_peak(code)
     assert result == repr((7.3668022459125995, 4.0))
-    assert int(peak_kb) / 1024 < 150, peak_kb
+    assert peak_mb < 150, peak_mb
 
 
 def test_axioms_never_recomputed(completed):

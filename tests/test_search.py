@@ -3,6 +3,7 @@
 import itertools
 import json
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,8 +110,8 @@ def test_block_table_dtypes_have_headroom():
         assert getattr(tbl, field).dtype == np.int64, field
 
 
-def test_table_stream_caps_jobs_at_cpu_count(monkeypatch):
-    # a huge --jobs must not start a thread per block; output is unchanged
+def spy_on_pools(monkeypatch) -> list[int]:
+    # the max_workers of every pool the search module starts, on a 2-CPU machine
     workers = []
     real_pool = search.ThreadPoolExecutor
 
@@ -120,15 +121,29 @@ def test_table_stream_caps_jobs_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "ThreadPoolExecutor", spy_pool)
+    return workers
+
+
+def test_hit_stream_caps_jobs_at_cpu_count(monkeypatch):
+    # a huge --jobs must not start a thread per block; output is unchanged
+    workers = spy_on_pools(monkeypatch)
     monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
-    many = list(search._table_stream(3, 20_000, 10**6, ("phi", "psi"), odd=True))
+    many = list(search._hit_stream(3, 20_000, 10**6, "phi", -1, 1, odd=True))
     assert workers == [2]
-    one = list(search._table_stream(3, 20_000, 1, ("phi", "psi"), odd=True))
+    one = list(search._hit_stream(3, 20_000, 1, "phi", -1, 1, odd=True))
     assert len(many) == len(one) > 2
-    for a, b in zip(many, one):
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-        for field in ("n", "phi", "psi"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for (n_a, m_a), (n_b, m_b) in zip(many, one):
+        assert np.array_equal(n_a, n_b) and np.array_equal(m_a, m_b)
+    assert np.concatenate([n for n, _ in one]).tolist() == primes.primes_up_to(20_000)[1:].tolist()
+
+
+def test_one_block_range_starts_no_pool(monkeypatch):
+    workers = spy_on_pools(monkeypatch)
+    assert len(list(scan(2, 1000, "psi", 1, jobs=2))) == 168
+    assert workers == []
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
+    assert len(list(scan(2, 10 * 1024 + 1, "psi", 1, jobs=2))) == 1254  # 10 blocks
+    assert workers == [2]
 
 
 def test_block_table_block_boundaries():
@@ -536,6 +551,75 @@ def test_queries_sieve_only_the_columns_they_read(monkeypatch):
     list(scan(2, 1000, "psi", 1))
     assert calls == [(("phi",), True), (("uphi",), True), (("psi",), False)]
 
+
+
+# ----- the block loop -----
+
+
+VARIANT_SIGNS = list(itertools.product(("phi", "uphi", "psi", "usigma"), (1, -1)))
+
+
+def one_table_hits(lo, hi, variant, sign, min_m, odd=False) -> list[tuple[int, int]]:
+    # the oracle of the block loop: _hit_arrays on one table over [lo, hi]
+    tbl = build_table(lo, hi + 1, (variant,), odd)
+    hit, m = search._hit_arrays(tbl, variant, sign, min_m)
+    return list(zip(tbl.n[hit].tolist(), m.tolist()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lo=st.integers(2, 10**9 - 8 * 1024), width=st.integers(0, 8 * 1024),
+       min_m=st.integers(1, 3), jobs=st.sampled_from([1, 2]))
+def test_scans_across_blocks_match_one_table(lo, width, min_m, jobs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
+        for variant, sign in VARIANT_SIGNS:
+            got = pairs(scan(lo, lo + width, variant, sign, min_m, jobs=jobs))
+            assert got == one_table_hits(lo, lo + width, variant, sign, min_m), (variant, sign)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hi=st.integers(3, 40 * 1024), jobs=st.sampled_from([1, 2]))
+def test_audits_across_blocks_match_one_table(hi, jobs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
+        for audit, variant, even_members in ((lehmer_audit, "phi", 1),
+                                             (subbarao_audit, "uphi", hi.bit_length() - 1)):
+            rep = audit(hi, jobs=jobs)
+            hits = one_table_hits(3, hi, variant, -1, 1, odd=True)
+            assert rep.family_count == even_members + sum(m == 1 for _, m in hits)
+            assert pairs(rep.counterexamples) == [(n, m) for n, m in hits if m != 1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_memory_does_not_grow_with_the_range(monkeypatch, jobs):
+    # tracemalloc sees numpy's buffers.  At jobs=2 the peak also depends on
+    # whether the two workers peak at the same moment, which can only raise
+    # it, so the long range keeps its best of 3 runs, the short its worst of 16
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 12)
+    span = 2 * search.Config.BLOCK_SIZE  # the audit sieves odd n only
+    lehmer_audit(100, jobs=jobs)  # warm the prime cache
+
+    def peak(blocks: int) -> int:
+        tracemalloc.start()
+        try:
+            lehmer_audit(2 + blocks * span, jobs=jobs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short = max(peak(4) for _ in range(16 if jobs > 1 else 1))
+    long = min(peak(64) for _ in range(3 if jobs > 1 else 1))
+    assert long <= 1.1 * short, (long, short)
+
+
+@pytest.mark.parametrize("jobs, bound_mb", [(2, 85), (1, 63)])
+def test_lehmer_audit_to_1e7_peak_memory(fresh_process_peak, jobs, bound_mb):
+    # workers return only their block's hits, so at most `jobs` block tables
+    # are live; python, numpy and the package take about 30 MB of the peak
+    (count,), peak_mb = fresh_process_peak(
+        f"from repulse import search; print(search.lehmer_audit(10**7, jobs={jobs}).family_count)")
+    assert count == "664579"
+    assert peak_mb < bound_mb, peak_mb
 
 # ----- Fermat-prime family -----
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,17 @@ def from_pairs(pairs) -> Factorization:
     for p, e in tup:
         value *= p**e
     return Factorization(pairs=tup, value=value)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: any integer type passes through operator.index, but a
+    bool (True == 1) or a float (1.0 == 1) is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _trusted(cls, **fields):

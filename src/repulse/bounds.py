@@ -33,7 +33,6 @@ constants); a test pins each one to its catalog claim.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -42,7 +41,7 @@ import numpy as np
 
 # factor and profile are unused here but stay importable only because
 # perfbench wraps bounds.factor and bounds.profile.
-from .arith import (Factorization, dedekind_psi, euler_phi, factor, profile,
+from .arith import (Factorization, _integer, dedekind_psi, euler_phi, factor, profile,
                     unitary_phi, unitary_sigma)
 
 # 30-digit literals: B0 = gamma^2 - 2*gamma1 must reproduce 0.478809...
@@ -353,9 +352,7 @@ def chain_grid_report(
 def _check_variant_sign(variant: str, sign: int) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if isinstance(sign, bool) or not hasattr(sign, "__index__"):  # 1.0 == 1, True == 1
-        raise TypeError(f"sign must be an integer, got {sign!r}")
-    if operator.index(sign) not in (1, -1):
+    if _integer("sign", sign) not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 

@@ -19,6 +19,13 @@ its other hits are factored.
 Scans and audits share one block loop: a worker sieves a block and returns only
 its hits, so the table dies in the worker and at most `jobs` tables are live.
 
+A block's cost follows the rows its base primes touch, not how many primes
+there are.  The first row of every prime and of every square comes from one
+numpy expression.  A prime with at least 256 multiples in the block updates
+them by strided slices.  The others, which touch a few rows each, are
+gathered into int32 row lists and applied with ufunc.at.  The rows where
+p**2 | n then get the exact power.
+
 The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
 """
@@ -37,12 +44,16 @@ from typing import Collection, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import arith, primes
-from .arith import Factorization
+from .arith import Factorization, _integer
 from .bounds import TOTIENT_VARIANTS, VARIANTS, _check_variant_sign
 
 
 class Config:
-    BLOCK_SIZE = 1 << 20          # rows per sieve block
+    # Rows per sieve block.  An int32 column is then 1 MB, so the audit's
+    # `jobs` live tables stay small; the primes above 2**18 // 256 = 1024 are
+    # gathered.  Per row, 2**17 and 2**18 rows sieve fastest: at 2**16 the
+    # fixed per-block work costs about 30% more, at 2**20 about 10% more.
+    BLOCK_SIZE = 1 << 18
     MAX_SCAN_LIMIT = 10**9        # scans refuse ranges beyond this
     MIN_M_TOTIENT = 2             # default multiplier floor (m = 1 means n prime)
     MIN_M_UNIT_OFFSET = 1         # psi / unitary sigma: m = 1 is the prime-power family
@@ -55,16 +66,18 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 COLUMNS = ("phi", "uphi", "psi", "usigma", "omega", "n1")
 
-# Multiplicative columns: f(p**e) from p and d = p**(e-1), and f(r) for the
-# leftover cofactor r, which is a prime with exponent 1 or else 1.
+# Multiplicative columns: f(p) = p + offset for a prime p, and f(p**e) from p
+# and d = p**(e-1) for e >= 2.
 _MULTIPLICATIVE = {
-    "phi": (lambda p, d: d * (p - 1), lambda r: r - (r > 1)),
-    "uphi": (lambda p, d: d * p - 1, lambda r: r - (r > 1)),
-    "psi": (lambda p, d: d * (p + 1), lambda r: r + (r > 1)),
-    "usigma": (lambda p, d: d * p + 1, lambda r: r + (r > 1)),
-    "n1": (lambda p, d: np.where(d == 1, p, 1), lambda r: r),
+    "phi": (-1, lambda p, d: d * (p - 1)),
+    "uphi": (-1, lambda p, d: d * p - 1),
+    "psi": (1, lambda p, d: d * (p + 1)),
+    "usigma": (1, lambda p, d: d * p + 1),
+    "n1": (0, lambda p, d: 1),
 }
 _WIDE = ("psi", "usigma")  # the columns that exceed n, kept as int64
+# A prime with fewer multiples than this in a table is gathered, not strided.
+_GATHER_BELOW = 256
 
 
 @dataclass(frozen=True)
@@ -87,22 +100,74 @@ class BlockTable:
     n1: Optional[np.ndarray] = None  # product of primes dividing n exactly once
 
 
+def _first_rows(lo, m, odd: bool):
+    """The first row whose n is a multiple of m, for an int or an int64 array m
+    (odd in the odd layout, where (m + 1) // 2 inverts the step 2 mod m); with
+    m <= 10**9 the int64 product stays below 2**63."""
+    r = -lo % m
+    return r * ((m + 1) // 2) % m if odd else r
+
+
+def _row_counts(first: np.ndarray, stride: np.ndarray, size: int) -> np.ndarray:
+    """The number of rows first + k * stride below size; 0 when first >= size,
+    since first < stride."""
+    return (size - first + stride - 1) // stride
+
+
+def _gathered_rows(first: np.ndarray, stride: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The rows first + k * stride, k < count, of every run, concatenated as
+    int32: each entry starts as its gap from the entry before, and one cumsum
+    in place turns the gaps into rows."""
+    rows = np.repeat(stride.astype(np.int32), count)
+    runs = np.flatnonzero(count)
+    if runs.size:
+        first, stride, count = first[runs], stride[runs], count[runs]
+        last = first + (count - 1) * stride
+        rows[np.cumsum(count[:-1])] = first[1:] - last[:-1]
+        rows[0] = first[0]
+        np.cumsum(rows, dtype=np.int32, out=rows)
+    return rows
+
+
+def _spans(count: np.ndarray, budget: int) -> Iterator[slice]:
+    """Consecutive slices covering count; each sums to less than budget plus its first entry."""
+    if not count.size:
+        return
+    cuts = np.searchsorted(np.cumsum(count), np.arange(budget, int(count.sum()), budget),
+                           side="right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, count.size]):
+        yield slice(a, b)
+
+
 def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
                 odd: bool = False) -> BlockTable:
     """Sieve the requested columns of phi, phi*, psi, sigma*, omega and the
     unit-exponent kernel n1 on [lo, hi), over every n or (odd) the odd n only.
 
-    Row i is n = lo + step*i, step 1 or 2.  The multiples of p**k sit at the
-    rows i = -lo * step**-1 (mod p**k), so each prime p <= sqrt(hi - 1)
-    updates its multiples through strided slices in either layout; the odd
-    layout skips p = 2.  Any n < hi has at most one prime factor above
-    sqrt(hi - 1), left over at the end and computed in the factored part's buffer.
+    Row i is n = lo + step*i, step 1 or 2, so the multiples of an m prime to
+    the step sit m rows apart from _first_rows(lo, m, odd), which numpy gives
+    for every base prime p <= sqrt(hi - 1) and every p**2 at once; the odd
+    layout skips p = 2.  The base primes update their rows in three passes,
+    so a block's cost follows the rows the primes touch, not their number:
+    - strided: a prime with at least _GATHER_BELOW multiples in the table
+      (p <= rows // _GATHER_BELOW, so p <= 1024 at 2**18 rows) multiplies its
+      multiples in place by a scalar, f(p) and p, one slice per column;
+    - gathered: the larger primes, which touch fewer rows each, build their
+      row lists in int32 spans of about rows // 8 entries and apply f(p) and p
+      with np.multiply.at and omega with np.add.at, which are exact where two
+      such primes share a row;
+    - prime powers: only the rows where p**2 | n, strided or gathered as
+      above, get d = p**(e-1), divide out f(p) and multiply in f(p**e).
+    Any n < hi has at most one prime factor above sqrt(hi - 1), left over at
+    the end and computed in the factored part's buffer.
 
     One dtype rule holds for every range: n, the factored part of n, the
     exponent array and the phi, phi* and n1 columns are int32; psi and
     sigma* are int64; omega is int16.  int32 has the headroom because
-    - every partial product of the factored part, phi, phi* and n1 is at
-      most its final value, and the final value is at most n;
+    - every partial product of the factored part, phi, phi* and n1 is at most
+      its final value, and the final value is at most n: ufunc.at multiplies
+      one factor at a time, and the power step divides f(p) out before it
+      multiplies f(p**e) in;
     - n <= Config.MAX_SCAN_LIMIT = 10**9;
     - _hit_arrays forms n + sign <= 10**9 + 1 < 2**31 - 1.
     psi(n) reaches about 3.75n below 10**9 (psi(892371480) > 2**31), so psi
@@ -117,42 +182,83 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
         raise ValueError(f"range end {hi - 1} exceeds limit {Config.MAX_SCAN_LIMIT}")
     if odd and lo % 2 == 0:
         raise ValueError(f"the odd layout needs an odd lo, got {lo}")
-    step = 2 if odd else 1
-
-    def first_row(m: int) -> int:  # the first row whose n is a multiple of m
-        return -lo * pow(step, -1, m) % m
-
-    n = np.arange(lo, hi, step, dtype=np.int32)
+    n = np.arange(lo, hi, 2 if odd else 1, dtype=np.int32)
     size = n.size
     done = np.ones(size, dtype=np.int32)  # the part of n factored so far
     updates = [(c, *_MULTIPLICATIVE[c]) for c in COLUMNS if c in columns and c != "omega"]
     cols = {c: np.ones(size, dtype=np.int64 if c in _WIDE else np.int32) for c, _, _ in updates}
     omega = np.zeros(size, dtype=np.int16) if "omega" in columns else None
-    for p in primes.primes_up_to(math.isqrt(hi - 1)).tolist():
-        if odd and p == 2:
-            continue
-        first = first_row(p)
-        if first >= size:
-            continue
-        s = slice(first, None, p)
-        # d = p**(e-1) where p**e exactly divides n; the scalar 1 while no row has e >= 2
-        pk = p * p
-        f = first_row(pk)
-        d = np.ones(len(range(first, size, p)), dtype=np.int32) if f < size else 1
-        while f < size:
-            d[(f - first) // p::pk // p] *= p
-            pk *= p
-            f = first_row(pk)
-        done[s] *= d * p
-        for c, prime_power, _ in updates:
-            cols[c][s] *= prime_power(p, d)
+    base = primes.primes_up_to(math.isqrt(hi - 1))
+    if odd:
+        base = base[base > 2]
+
+    # strided pass: a prime with at least _GATHER_BELOW multiples updates them by scalars
+    first = _first_rows(lo, base, odd)
+    split = int(np.searchsorted(base, size // _GATHER_BELOW, side="right"))
+    for p, f in zip(base[:split].tolist(), first[:split].tolist()):
+        s = slice(f, None, p)
+        done[s] *= p
+        for c, offset, _ in updates:
+            cols[c][s] *= p + offset
         if omega is not None:
             omega[s] += 1
-    rem = np.floor_divide(n, done, out=done)
-    for c, _, leftover in updates:
-        cols[c] *= leftover(rem)
+
+    # gathered pass: the other primes, one span of about size // 8 rows at a time
+    large = base[split:]
+    count = _row_counts(first[split:], large, size)
+    for span in _spans(count, max(size // 8, 1)):
+        rows = _gathered_rows(first[split:][span], large[span], count[span])
+        ps = np.repeat(large[span].astype(np.int32), count[span])
+        np.multiply.at(done, rows, ps)
+        shift = 0
+        for c, offset, _ in updates:
+            ps += offset - shift  # now f(p)
+            shift = offset
+            np.multiply.at(cols[c], rows, ps)
+        if omega is not None:
+            np.add.at(omega, rows, 1)
+        del rows, ps  # before the next span's
+
+    # prime powers: the rows where p**2 | n, strided or gathered by the same
+    # rule, get d = p**(e-1), then f(p) out and f(p**e) in
+    squares = base * base
+    first = _first_rows(lo, squares, odd)
+    split = int(np.searchsorted(squares, size // _GATHER_BELOW, side="right"))
+    for p, f in zip(base[:split].tolist(), first[:split].tolist()):
+        q = p * p
+        s = slice(f, None, q)
+        d = np.full(len(range(f, size, q)), p, dtype=np.int32)
+        pk = q * p
+        while pk < hi and (fk := _first_rows(lo, pk, odd)) < size:
+            d[(fk - f) // q::pk // q] *= p
+            pk *= p
+        done[s] *= d
+        for c, offset, power in updates:
+            v = cols[c][s]
+            v //= p + offset
+            v *= power(p, d)
+    count = _row_counts(first[split:], squares[split:], size)
+    if count.any():
+        rows = _gathered_rows(first[split:], squares[split:], count)
+        ps = np.repeat(base[split:].astype(np.int32), count)
+        d, t = ps.copy(), n[rows] // (ps * ps)
+        while (deeper := t % ps == 0).any():
+            np.multiply(d, ps, out=d, where=deeper)
+            np.floor_divide(t, ps, out=t, where=deeper)
+        np.multiply.at(done, rows, d)
+        for c, offset, power in updates:
+            np.floor_divide.at(cols[c], rows, ps + offset)
+            np.multiply.at(cols[c], rows, power(ps, d))
+
+    rem = np.floor_divide(n, done, out=done)  # 1, or the one prime factor above sqrt(hi - 1)
+    big = rem > 1
+    shift = 0
+    for c, offset, _ in updates:
+        np.add(rem, offset - shift, out=rem, where=big)  # now f(rem), and 1 where rem is 1
+        shift = offset
+        cols[c] *= rem
     if omega is not None:
-        omega += rem > 1
+        omega += big
     return BlockTable(lo=lo, hi=hi, n=n, omega=omega, **cols)
 
 
@@ -273,6 +379,13 @@ def _hit_stream(lo: int, hi: int, jobs: int, variant: str, sign: int, min_m: int
             yield pending.popleft().result()
 
 
+def _check_jobs(jobs: int) -> int:
+    jobs = _integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
          jobs: int = 1) -> Iterator[Solution]:
     """Stream every solution with multiplier >= min_m over the inclusive range [lo, hi].
@@ -282,10 +395,10 @@ def scan(lo: int, hi: int, variant: str, sign: int, min_m: Optional[int] = None,
     f(n) = m * n + sign.  min_m defaults per variant (see default_min_m).
     """
     _check_variant_sign(variant, sign)
+    lo, hi, jobs = _integer("lo", lo), _integer("hi", hi), _check_jobs(jobs)
     if hi > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
-    if min_m is None:
-        min_m = default_min_m(variant)
+    min_m = default_min_m(variant) if min_m is None else _integer("min_m", min_m)
     if min_m < 1:
         raise ValueError(f"min_m must be >= 1, got {min_m}")
     lo = max(lo, 2)
@@ -343,6 +456,7 @@ def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
     only the powers of 2 have phi*(n) | n - 1.  Both are family members,
     counted in closed form; the table reads only the variant's own column.
     """
+    hi, jobs = _integer("hi", hi), _check_jobs(jobs)
     if hi > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"hi = {hi} exceeds scan limit {Config.MAX_SCAN_LIMIT}")
     t0 = time.perf_counter()
@@ -389,6 +503,7 @@ def fermat_family(k: int) -> Solution:
     Each product N satisfies 2 * phi(N) = N + 1, i.e. multiplier 2 with
     positive sign.  k ranges over 1..5.
     """
+    k = _integer("k", k)
     if not 1 <= k <= len(KNOWN_FERMAT_PRIMES):
         raise ValueError(f"k must be in 1..{len(KNOWN_FERMAT_PRIMES)}, got {k}")
     f = arith.from_pairs([(p, 1) for p in KNOWN_FERMAT_PRIMES[:k]])

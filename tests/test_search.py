@@ -81,11 +81,17 @@ def test_block_table_matches_naive_loop():
     assert_table_matches_oracle(2, NAIVE_LIMIT + 1, ALL_SUBSETS)
 
 
+# hypothesis favours small integers, so the windows come from both ends of [2, 1e9]
+LOWS = st.integers(2, search.Config.MAX_SCAN_LIMIT + 1 - 2048)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(lo=st.integers(2, 10**9 - 512), width=st.integers(1, 512),
-       columns=st.sets(st.sampled_from(search.COLUMNS)))
+@given(lo=st.one_of(LOWS, LOWS.map(lambda lo: search.Config.MAX_SCAN_LIMIT + 3 - 2048 - lo)),
+       width=st.integers(1, 2048), columns=st.sets(st.sampled_from(search.COLUMNS)))
 def test_block_table_at_height_matches_oracle(lo, width, columns):
-    # large lo puts base primes near sqrt(1e9) and high prime powers in play
+    # large lo puts base primes near sqrt(1e9) and high prime powers in play;
+    # up to 2048 rows, so the primes up to 8 take the strided pass and the
+    # others the gathered one
     assert_table_matches_oracle(lo, lo + width, [*SINGLE_COLUMNS, tuple(columns)])
 
 
@@ -97,6 +103,78 @@ def test_block_table_at_height_matches_oracle(lo, width, columns):
 ])
 def test_block_table_windows_straddling_prime_powers(center):
     assert_table_matches_oracle(center - 256, center + 256, ALL_SUBSETS)
+
+
+def assert_rows_match_oracle(tbl: BlockTable, rows) -> None:
+    # the requested columns of the given rows against the per-integer loop, and the dtype rule
+    dtypes = {"phi": np.int32, "uphi": np.int32, "psi": np.int64, "usigma": np.int64,
+              "omega": np.int16, "n1": np.int32}
+    columns = [c for c in search.COLUMNS if getattr(tbl, c) is not None]
+    assert tbl.n.dtype == np.int32
+    for c in columns:
+        assert getattr(tbl, c).dtype == dtypes[c], c
+    for i in rows:
+        n = int(tbl.n[i])
+        want = dict(zip(search.COLUMNS, naive_profile_row(n)))
+        got = {c: int(getattr(tbl, c)[i]) for c in columns}
+        assert got == {c: want[c] for c in columns}, f"sieve disagrees at n={n} in [{tbl.lo}, {tbl.hi})"
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("center, multiple", [
+    (1031 * 1033, 1031 * 1033),  # two primes above the gather threshold share a row
+    (937 * 1031 * 1033, 1031 * 1033),  # ... beside a strided prime
+    (1031**2, 1031**2),  # the square of a gathered prime
+    (3 * 1031**2, 1031**2),
+    (31607**2, 31607**2),  # of the largest base prime below sqrt(1e9)
+    (search.Config.MAX_SCAN_LIMIT, None),  # the block ending at the scan limit
+])
+def test_full_block_rows_match_oracle(center, multiple, odd):
+    # one Config.BLOCK_SIZE-row table in each layout, as scans and audits build
+    # it, so the gather threshold is the one they use; its edges, the rows
+    # that `multiple` divides and a seeded sample of the rest against the oracle
+    size = search.Config.BLOCK_SIZE
+    assert 1031 > size // search._GATHER_BELOW  # 1031 and 1033 are gathered
+    step = 2 if odd else 1
+    lo = min(center - step * (size // 2), search.Config.MAX_SCAN_LIMIT + 1 - step * size)
+    tbl = build_table(lo, lo + step * size, search.COLUMNS, odd)
+    assert tbl.n.size == size and int(tbl.n[0]) == lo
+    rows = {0, 1, 2, size - 3, size - 2, size - 1, *np.random.default_rng(center).integers(0, size, 200)}
+    if multiple is not None:
+        hits = np.flatnonzero(tbl.n % multiple == 0)
+        assert center in tbl.n[hits]
+        rows.update(hits.tolist())
+    assert_rows_match_oracle(tbl, sorted(rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 1031 * 1033, 1031**2, 3**18, 2**29, 31607**2,
+                               search.Config.MAX_SCAN_LIMIT - 1, search.Config.MAX_SCAN_LIMIT])
+def test_one_row_tables_match_oracle(n):
+    for odd in (False, True) if n % 2 else (False,):
+        assert_rows_match_oracle(build_table(n, n + 1, search.COLUMNS, odd), [0])
+
+
+@pytest.mark.parametrize("columns, odd, fraction", [
+    (("phi",), True, 0.75),  # the audit's table: n and phi, 8 bytes a row
+    (("psi",), False, 0.6),  # the scan's table: n and psi, 12 bytes a row
+])
+def test_block_scratch_is_a_fraction_of_its_columns(columns, odd, fraction):
+    # beside the columns it returns, a block holds the factored part (4 bytes
+    # a row), then either a gathered span of at most about size // 8 rows (8
+    # bytes each) or the leftover's mask (1 byte a row); tracemalloc sees
+    # numpy's buffers.  One Config.BLOCK_SIZE-row block ending at the scan limit
+    size = search.Config.BLOCK_SIZE
+    step = 2 if odd else 1
+    lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
+    build_table(lo, lo + step * size, columns, odd)  # warm the prime cache
+    tracemalloc.start()
+    try:
+        tbl = build_table(lo, lo + step * size, columns, odd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(tbl, c).nbytes for c in ("n", *columns))
+    assert peak - kept <= fraction * kept, (peak - kept) / kept
 
 
 def test_block_table_dtypes_have_headroom():
@@ -612,7 +690,7 @@ def test_audit_memory_does_not_grow_with_the_range(monkeypatch, jobs):
     assert long <= 1.1 * short, (long, short)
 
 
-@pytest.mark.parametrize("jobs, bound_mb", [(2, 85), (1, 63)])
+@pytest.mark.parametrize("jobs, bound_mb", [(2, 55), (1, 45)])
 def test_lehmer_audit_to_1e7_peak_memory(fresh_process_peak, jobs, bound_mb):
     # workers return only their block's hits, so at most `jobs` block tables
     # are live; python, numpy and the package take about 30 MB of the peak
@@ -620,6 +698,65 @@ def test_lehmer_audit_to_1e7_peak_memory(fresh_process_peak, jobs, bound_mb):
         f"from repulse import search; print(search.lehmer_audit(10**7, jobs={jobs}).family_count)")
     assert count == "664579"
     assert peak_mb < bound_mb, peak_mb
+
+
+# ----- the integer rule at the entry points -----
+
+
+NOT_INTEGERS = [
+    pytest.param(lambda: subbarao_audit(1e5), id="subbarao hi=1e5"),
+    pytest.param(lambda: lehmer_audit(1e5), id="lehmer hi=1e5"),
+    pytest.param(lambda: lehmer_audit(True), id="lehmer hi=True"),
+    pytest.param(lambda: subbarao_audit(True), id="subbarao hi=True"),
+    pytest.param(lambda: lehmer_audit(100, jobs=1.5), id="lehmer jobs=1.5"),
+    pytest.param(lambda: subbarao_audit(100, jobs=True), id="subbarao jobs=True"),
+    pytest.param(lambda: list(scan(2.0, 100, "phi", 1)), id="scan lo=2.0"),
+    pytest.param(lambda: list(scan(2, 100.0, "phi", 1)), id="scan hi=100.0"),
+    pytest.param(lambda: list(scan(2, True, "phi", 1)), id="scan hi=True"),
+    pytest.param(lambda: list(scan(2, 100, "phi", 1, min_m=2.0)), id="scan min_m=2.0"),
+    pytest.param(lambda: list(scan(2, 100, "phi", 1, min_m=True)), id="scan min_m=True"),
+    pytest.param(lambda: list(scan(2, 100, "phi", 1, jobs=1.5)), id="scan jobs=1.5"),
+    pytest.param(lambda: list(scan(2, 100, "phi", 1, jobs=True)), id="scan jobs=True"),
+    pytest.param(lambda: fermat_family(2.0), id="fermat k=2.0"),
+    pytest.param(lambda: fermat_family(True), id="fermat k=True"),
+]
+
+
+def assert_one_line(exc_info) -> None:
+    assert "\n" not in str(exc_info.value), str(exc_info.value)
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS)
+def test_entry_points_refuse_floats_and_bools(call):
+    # 1.0 == 1 and True == 1, so either would pass a range check unnoticed
+    with pytest.raises(TypeError, match=r"^(lo|hi|min_m|jobs|k) must be an integer, got ") as exc:
+        call()
+    assert_one_line(exc)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda jobs: lehmer_audit(100, jobs=jobs),
+    lambda jobs: subbarao_audit(100, jobs=jobs),
+    lambda jobs: list(scan(2, 100, "phi", 1, jobs=jobs)),
+], ids=["lehmer", "subbarao", "scan"])
+def test_entry_points_refuse_fewer_than_one_job(call, jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$") as exc:
+        call(jobs)
+    assert_one_line(exc)
+
+
+def test_entry_points_take_numpy_integers():
+    i64 = np.int64
+    for audit in (lehmer_audit, subbarao_audit):
+        got, want = audit(i64(10**5), jobs=np.int32(2)), audit(10**5)
+        assert type(got.hi) is int and got.hi == 10**5
+        assert (got.family_count, got.counterexamples) == (want.family_count, want.counterexamples)
+        assert {**got.to_json(), "wall_time": 0} == {**want.to_json(), "wall_time": 0}
+    got = list(scan(i64(2), i64(10**4), "phi", i64(1), min_m=i64(2), jobs=np.uint8(2)))
+    assert got == list(scan(2, 10**4, "phi", 1))
+    assert fermat_family(np.int8(3)) == fermat_family(3)
+
 
 # ----- Fermat-prime family -----
 

@@ -142,6 +142,7 @@ def factor(n: int) -> Factorization:
     """Canonical factorization of n, for 1 <= n <= 2^63, built with _trusted:
     each prime is proven where it is found, by the smallest-prime-factor table,
     by trial division up to its square root, or by is_prime in _factor_tail."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     if n > FACTOR_LIMIT:

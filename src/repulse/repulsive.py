@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import primes
-from .arith import Factorization, _trusted, phi_a
+from .arith import Factorization, _integer, _trusted, phi_a
 
 EXACT_PRODUCT_LIMIT = 64  # sets at most this large also get an exact rational product
 
@@ -86,6 +86,7 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
     Returns a falsy RepulsionCheck carrying one violating (p, q) pair when the
     property fails.  Non-prime elements are rejected.
     """
+    a = _integer("a", a)
     elems = sorted(set(int(p) for p in prime_seq))
     primes.check_increasing_primes(elems)
     return _repulsion(elems, a)

@@ -24,7 +24,9 @@ there are.  The first row of every prime and of every square comes from one
 numpy expression.  A prime with at least 256 multiples in the block updates
 them by strided slices.  The others, which touch a few rows each, are
 gathered into int32 row lists and applied with ufunc.at.  The rows where
-p**2 | n then get the exact power.
+p**2 | n then get the exact power.  The prime left over above sqrt(hi - 1)
+is applied with plain in-place ufuncs, no mask, and the hit test divides only
+the rows that can hit: m = 1, or m >= 2, which needs n / phi(n) >= 2 for phi.
 
 The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
@@ -67,13 +69,14 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 COLUMNS = ("phi", "uphi", "psi", "usigma", "omega", "n1")
 
 # Multiplicative columns: f(p) = p + offset for a prime p, and f(p**e) from p
-# and d = p**(e-1) for e >= 2.
+# and d = p**(e-1) for e >= 2.  Kept in the offset order 0, +1, -1, in which
+# build_table's leftover step edits one buffer from column to column.
 _MULTIPLICATIVE = {
-    "phi": (-1, lambda p, d: d * (p - 1)),
-    "uphi": (-1, lambda p, d: d * p - 1),
+    "n1": (0, lambda p, d: 1),
     "psi": (1, lambda p, d: d * (p + 1)),
     "usigma": (1, lambda p, d: d * p + 1),
-    "n1": (0, lambda p, d: 1),
+    "phi": (-1, lambda p, d: d * (p - 1)),
+    "uphi": (-1, lambda p, d: d * p - 1),
 }
 _WIDE = ("psi", "usigma")  # the columns that exceed n, kept as int64
 # A prime with fewer multiples than this in a table is gathered, not strided.
@@ -102,10 +105,10 @@ class BlockTable:
 
 def _first_rows(lo, m, odd: bool):
     """The first row whose n is a multiple of m, for an int or an int64 array m
-    (odd in the odd layout, where (m + 1) // 2 inverts the step 2 mod m); with
-    m <= 10**9 the int64 product stays below 2**63."""
+    (odd in the odd layout, where row k holds lo + 2k, so k = r / 2 mod m for
+    r = -lo mod m: r / 2 when r is even, (r + m) / 2 when r is odd)."""
     r = -lo % m
-    return r * ((m + 1) // 2) % m if odd else r
+    return (r + (r & 1) * m) // 2 if odd else r
 
 
 def _row_counts(first: np.ndarray, stride: np.ndarray, size: int) -> np.ndarray:
@@ -159,7 +162,9 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     - prime powers: only the rows where p**2 | n, strided or gathered as
       above, get d = p**(e-1), divide out f(p) and multiply in f(p**e).
     Any n < hi has at most one prime factor above sqrt(hi - 1), left over at
-    the end and computed in the factored part's buffer.
+    the end as rem = n // done in the factored part's buffer.  f(rem) is
+    rem + offset where rem > 1 and 1 where rem = 1, edited into rem in place
+    with no mask: rem += rem > 1 for +1, rem -= 1 then max(rem, 1) for -1.
 
     One dtype rule holds for every range: n, the factored part of n, the
     exponent array and the phi, phi* and n1 columns are int32; psi and
@@ -169,7 +174,8 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
       one factor at a time, and the power step divides f(p) out before it
       multiplies f(p**e) in;
     - n <= Config.MAX_SCAN_LIMIT = 10**9;
-    - _hit_arrays forms n + sign <= 10**9 + 1 < 2**31 - 1.
+    - the leftover's rem + 1 and _hit_arrays' n + sign are at most
+      10**9 + 1 < 2**31 - 1, and _hit_arrays forms no product.
     psi(n) reaches about 3.75n below 10**9 (psi(892371480) > 2**31), so psi
     and sigma* need int64.
     """
@@ -185,7 +191,7 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     n = np.arange(lo, hi, 2 if odd else 1, dtype=np.int32)
     size = n.size
     done = np.ones(size, dtype=np.int32)  # the part of n factored so far
-    updates = [(c, *_MULTIPLICATIVE[c]) for c in COLUMNS if c in columns and c != "omega"]
+    updates = [(c, *f) for c, f in _MULTIPLICATIVE.items() if c in columns]
     cols = {c: np.ones(size, dtype=np.int64 if c in _WIDE else np.int32) for c, _, _ in updates}
     omega = np.zeros(size, dtype=np.int16) if "omega" in columns else None
     base = primes.primes_up_to(math.isqrt(hi - 1))
@@ -251,14 +257,20 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
             np.multiply.at(cols[c], rows, power(ps, d))
 
     rem = np.floor_divide(n, done, out=done)  # 1, or the one prime factor above sqrt(hi - 1)
-    big = rem > 1
-    shift = 0
-    for c, offset, _ in updates:
-        np.add(rem, offset - shift, out=rem, where=big)  # now f(rem), and 1 where rem is 1
-        shift = offset
-        cols[c] *= rem
     if omega is not None:
-        omega += big
+        omega += rem > 1
+    # updates run in the offset order 0, +1, -1, so one rem serves every
+    # column: max(g - 2, 1) takes g = rem + (rem > 1) to the -1 form
+    shift = 0  # the offset rem holds
+    for c, offset, _ in updates:
+        if offset != shift:
+            if offset == 1:
+                rem += rem > 1
+            else:
+                rem -= 1 + shift
+                np.maximum(rem, 1, out=rem)
+            shift = offset
+        cols[c] *= rem
     return BlockTable(lo=lo, hi=hi, n=n, omega=omega, **cols)
 
 
@@ -337,16 +349,29 @@ def default_min_m(variant: str) -> int:
 def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
                 min_m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of tbl whose n solves the variant equation with a multiplier
-    >= min_m, and those multipliers; reads tbl.n and the variant's column."""
+    >= min_m, and those multipliers; reads tbl.n and the variant's column,
+    and leaves the table unchanged.
+
+    Only the candidate rows are divided: with num = n + sign - f(n) (totients)
+    or f(n) - sign - n, a hit has num = (m - 1) * den, so m = 1 is num = 0 and
+    m >= 2 needs num >= den.
+    """
     if variant in TOTIENT_VARIANTS:
         top, den, offset = tbl.n, (tbl.phi if variant == "phi" else tbl.uphi), sign
     else:
         top, den, offset = (tbl.psi if variant == "psi" else tbl.usigma), tbl.n, -sign
-    # num >= 1 for every n >= 2: n + sign >= 1, and psi(n), sigma*(n) >= n + 1.
+    # num >= 0 for every n >= 2: phi(n), phi*(n) <= n - 1 and psi(n), sigma*(n) >= n + 1
     num = top + offset
-    hit = np.flatnonzero(np.remainder(num, den, out=num) == 0)  # num now holds the remainder
-    m = (top[hit] + offset) // den[hit]
-    keep = m >= min_m
+    num -= den
+    cand = num >= den
+    if min_m <= 1:
+        cand |= num == 0
+    hit = np.flatnonzero(cand)
+    del cand
+    num, den = num[hit], den[hit]  # the full-size num dies here
+    m, r = np.divmod(num, den)
+    m += 1
+    keep = (r == 0) & (m >= min_m)
     return hit[keep], m[keep]
 
 

@@ -79,6 +79,13 @@ def test_factor_rejects_out_of_range():
         factor(2**63 + 1)
 
 
+@pytest.mark.parametrize("n", [True, 10.0])
+def test_factor_refuses_floats_and_bools(n):
+    # True == 1 and 10.0 == 10, so either would pass the range check unnoticed
+    with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+        factor(n)
+
+
 def test_factor_accepts_upper_edge():
     assert factor(2**63).pairs == ((2, 63),)
 

@@ -35,6 +35,12 @@ def test_repulsion_rejects_non_prime():
         is_self_repulsive([3, 15], 1)
 
 
+@pytest.mark.parametrize("a", [1.5, True])
+def test_repulsion_refuses_a_that_is_not_an_integer(a):
+    with pytest.raises(TypeError, match=f"^a must be an integer, got {a!r}$"):
+        is_self_repulsive([3, 5, 7], a)
+
+
 def test_repulsion_is_about_distinct_pairs():
     # p = q pairs never count: {2} stays 2-self-repulsive even though 2 ≡ 2 ≡ 0 (mod 2).
     assert is_self_repulsive([2], 2).ok

@@ -161,8 +161,9 @@ def test_one_row_tables_match_oracle(n):
 def test_block_scratch_is_a_fraction_of_its_columns(columns, odd, fraction):
     # beside the columns it returns, a block holds the factored part (4 bytes
     # a row), then either a gathered span of at most about size // 8 rows (8
-    # bytes each) or the leftover's mask (1 byte a row); tracemalloc sees
-    # numpy's buffers.  One Config.BLOCK_SIZE-row block ending at the scan limit
+    # bytes each) or, for a +1 column, the leftover's rem > 1 (1 byte a row);
+    # tracemalloc sees numpy's buffers.  One Config.BLOCK_SIZE-row block
+    # ending at the scan limit
     size = search.Config.BLOCK_SIZE
     step = 2 if odd else 1
     lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
@@ -175,6 +176,36 @@ def test_block_scratch_is_a_fraction_of_its_columns(columns, odd, fraction):
         tracemalloc.stop()
     kept = sum(getattr(tbl, c).nbytes for c in ("n", *columns))
     assert peak - kept <= fraction * kept, (peak - kept) / kept
+
+
+def test_block_hits_peak_is_at_most_four_columns():
+    # the table holds n and phi; the hit test divides only the candidate rows,
+    # so it adds no second full-size array.  One Config.BLOCK_SIZE-row phi block
+    # in the odd layout, ending at the scan limit, as the audit builds it
+    size = search.Config.BLOCK_SIZE
+    lo = search.Config.MAX_SCAN_LIMIT + 1 - 2 * size
+    search._block_hits(lo, lo + 2 * size, "phi", -1, 1, True)  # warm the prime cache
+    tracemalloc.start()
+    try:
+        search._block_hits(lo, lo + 2 * size, "phi", -1, 1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = 4 * size  # one int32 column
+    assert peak <= 4 * column, peak / column
+
+
+@pytest.mark.parametrize("lo", [1, 3, 10**9 - 1, 10**9 + 1, 2**40 + 1])
+def test_first_rows_in_the_odd_layout_stay_exact_for_large_moduli(lo):
+    # odd m up to 10**10, as int64 arrays and as ints, against the Python-int
+    # inverse of 2: row k holds lo + 2k, so k = -lo / 2 mod m
+    rng = np.random.default_rng(lo)
+    m = rng.integers(1, 5 * 10**9, 2000) * 2 + 1
+    m = np.concatenate([[3, 5, 2**31 - 1, 10**10 - 1], m])
+    want = [(-lo * pow(2, -1, q)) % q for q in m.tolist()]
+    got = search._first_rows(lo, m, True)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert [search._first_rows(lo, q, True) for q in m[:50].tolist()] == want[:50]
 
 
 def test_block_table_dtypes_have_headroom():
@@ -642,6 +673,46 @@ def one_table_hits(lo, hi, variant, sign, min_m, odd=False) -> list[tuple[int, i
     tbl = build_table(lo, hi + 1, (variant,), odd)
     hit, m = search._hit_arrays(tbl, variant, sign, min_m)
     return list(zip(tbl.n[hit].tolist(), m.tolist()))
+
+
+def full_row_hits(tbl: BlockTable, variant: str, sign: int, min_m: int):
+    # the oracle of _hit_arrays: the remainder of every row
+    if variant in search.TOTIENT_VARIANTS:
+        top, den, offset = tbl.n, getattr(tbl, variant), sign
+    else:
+        top, den, offset = getattr(tbl, variant), tbl.n, -sign
+    num = top + offset
+    hit = np.flatnonzero(num % den == 0)
+    m = num[hit] // den[hit]
+    return hit[m >= min_m], m[m >= min_m]
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("lo, fermat", [
+    (3, [15, 255]),  # m = 2 for phi/+1
+    (65535 - 2048, [65535]),
+    (None, []),  # the Config.BLOCK_SIZE-row block ending at the scan limit
+])
+def test_hit_arrays_match_full_row_remainders(lo, fermat, odd):
+    step = 2 if odd else 1
+    if lo is None:
+        size = search.Config.BLOCK_SIZE
+        lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
+    else:
+        size = 4096
+    tbl = build_table(lo, lo + step * size, search.COLUMNS, odd)
+    before = {c: getattr(tbl, c).copy() for c in ("n", *search.COLUMNS)}
+    assert np.any((tbl.phi < tbl.n + 1) & (tbl.n + 1 < 2 * tbl.phi))  # den < num < 2 den
+    for variant, sign in VARIANT_SIGNS:
+        for min_m in (1, 2, 3, 7):
+            hit, m = search._hit_arrays(tbl, variant, sign, min_m)
+            want_hit, want_m = full_row_hits(tbl, variant, sign, min_m)
+            assert hit.dtype == want_hit.dtype and m.dtype == want_m.dtype, (variant, sign, min_m)
+            assert np.array_equal(hit, want_hit) and np.array_equal(m, want_m), (variant, sign, min_m)
+    for c, column in before.items():
+        assert getattr(tbl, c).dtype == column.dtype and np.array_equal(getattr(tbl, c), column), c
+    hit, m = search._hit_arrays(tbl, "phi", 1, 2)
+    assert {n: 2 for n in fermat}.items() <= dict(zip(tbl.n[hit].tolist(), m.tolist())).items()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

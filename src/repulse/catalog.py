@@ -96,7 +96,8 @@ def compile_expression(text: str) -> Callable[[float], float]:
 
     Only arithmetic operators, the registered function names, the
     registered constants and int or float literals are admitted; anything
-    else raises ValueError.  Integer literals are compiled as floats, so a
+    else, or an expression nested too deeply to parse or compile, raises
+    ValueError.  Integer literals are compiled as floats, so a
     power such as 9**9**9 overflows instead of being computed exactly.  An
     overflow, a division by zero, a non-real value or a bad call during
     evaluation raises ValueError naming the expression and t.
@@ -105,6 +106,8 @@ def compile_expression(text: str) -> Callable[[float], float]:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"bad expression {text!r}: {exc}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError(f"expression {text!r} nests too deeply") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(
@@ -128,8 +131,11 @@ def compile_expression(text: str) -> Callable[[float], float]:
     # compiled once as `lambda t: <expression>` over the namespace
     tree.body = ast.Lambda(ast.arguments(posonlyargs=[], args=[ast.arg("t")], kwonlyargs=[],
                                          kw_defaults=[], defaults=[]), tree.body)
-    expr = eval(compile(ast.fix_missing_locations(tree), "<catalog>", "eval"),
-                {"__builtins__": {}, **_NAMESPACE})
+    try:
+        code = compile(ast.fix_missing_locations(tree), "<catalog>", "eval")
+    except RecursionError:
+        raise ValueError(f"expression {text!r} nests too deeply") from None
+    expr = eval(code, {"__builtins__": {}, **_NAMESPACE})
 
     def fn(t: float) -> float:
         try:
@@ -229,9 +235,14 @@ class ConstantCheck:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"catalog entry {name!r} is malformed: {exc!r}") from None
+        if not isinstance(entry.name, str):
+            raise ValueError(f"catalog entry {name!r} has a name that is not a string")
         finite = math.isfinite(entry.claimed) and math.isfinite(entry.domain_lo)
         if not finite or math.isnan(entry.domain_hi):
             raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
+        if entry.domain_hi < entry.domain_lo:
+            raise ValueError(f"catalog entry {name!r} has its domain in reverse, "
+                             f"[{entry.domain_lo}, {entry.domain_hi}]")
         scan_hi = entry.scan_hi
         if scan_hi is not None and not (type(scan_hi) in (int, float) and math.isfinite(scan_hi)
                                         and scan_hi > entry.domain_lo):
@@ -260,7 +271,7 @@ def _valid_tolerance(value: object) -> float:
         tol = float(value)
     except (TypeError, ValueError):
         tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
+    if isinstance(value, bool) or not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")
     return tol
 
@@ -288,7 +299,10 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("catalog nests too deeply") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ValueError("catalog must be a JSON object with an 'entries' list")
     if "version" not in raw:

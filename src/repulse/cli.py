@@ -154,7 +154,10 @@ def cmd_greedy(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _load_prime_set(path: str) -> repulsive.PrimeSet:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"set file {path} nests too deeply") from None
     if not isinstance(raw, dict) or not {"a", "primes", "cutoff"} <= raw.keys():
         raise ValueError(f"set file {path} needs keys a, primes, cutoff")
     a, members, cutoff = raw["a"], raw["primes"], raw["cutoff"]

@@ -125,6 +125,7 @@ def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
     A member q < p repels p iff p ≡ a (mod q) or q = a mod p; a sieve of one byte per
     integer up to x bans the classes a mod q.  No larger prime up to x can join the result.
     """
+    a, start = _integer("a", a), _integer("start", start)
     if not (x >= start >= 2):
         raise ValueError(f"need x >= start >= 2, got x={x}, start={start}")
     candidates = primes.iter_primes(start, math.floor(x) + 1)  # refuses x before np.zeros

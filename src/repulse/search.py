@@ -2,19 +2,18 @@
 
 A "solution" is a pair (n, m) with m * phi(n) = n + sign (classical or
 unitary totient) or f(n) = m * n + sign (psi or unitary sigma).  The
-scanner sieves phi, phi*, psi, sigma*, omega and the unit-exponent kernel
-n1 over consecutive blocks with numpy, so ranges up to 10**9 are feasible,
-and yields solutions as a sorted stream.  On top of the scanner sit two
+scanner sieves one variant's column, phi, phi*, psi or sigma*, over
+consecutive blocks with numpy, so ranges up to 10**9 are feasible, and
+yields solutions as a sorted stream.  On top of the scanner sit two
 divisibility audits (the classical composite-totient-divisor question and
 its unitary analogue) and the constructor for the known family built from
 Fermat primes.
 
-Each query sieves only the columns it reads: a scan its variant's column,
-an audit its own column, over the odd n only, since parity settles the even
-n in closed form.  A scan of psi/+1 or sigma*/+1, where m = 1 holds exactly
-on the primes and the prime powers, takes the factorization and class of each
-such hit from the column and one map of the proper prime powers in range; only
-its other hits are factored.
+A scan sieves its variant over every n; an audit sieves its variant over the
+odd n only, since parity settles the even n in closed form.  A scan of psi/+1
+or sigma*/+1, where m = 1 holds exactly on the primes and the prime powers,
+takes the factorization and class of each such hit from the column and one
+map of the proper prime powers in range; only its other hits are factored.
 
 Scans and audits share one block loop: a worker sieves a block and returns only
 its hits, so the table dies in the worker and at most `jobs` tables are live.
@@ -28,7 +27,7 @@ p**2 | n then get the exact power.  The prime left over above sqrt(hi - 1)
 is applied with plain in-place ufuncs, no mask, and the hit test divides only
 the rows that can hit: m = 1, or m >= 2, which needs n / phi(n) >= 2 for phi.
 
-The sieve keeps n, phi, phi* and n1 as int32, since none of them exceeds
+The sieve keeps n, phi and phi* as int32, since none of them exceeds
 n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
 """
 
@@ -41,7 +40,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Collection, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,41 +65,30 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 # ----- block sieve -----
 
-COLUMNS = ("phi", "uphi", "psi", "usigma", "omega", "n1")
-
-# Multiplicative columns: f(p) = p + offset for a prime p, and f(p**e) from p
-# and d = p**(e-1) for e >= 2.  Kept in the offset order 0, +1, -1, in which
-# build_table's leftover step edits one buffer from column to column.
+# The variant columns, all multiplicative: f(p) = p + offset for a prime p,
+# and f(p**e) from p and d = p**(e-1) for e >= 2.
 _MULTIPLICATIVE = {
-    "n1": (0, lambda p, d: 1),
-    "psi": (1, lambda p, d: d * (p + 1)),
-    "usigma": (1, lambda p, d: d * p + 1),
     "phi": (-1, lambda p, d: d * (p - 1)),
     "uphi": (-1, lambda p, d: d * p - 1),
+    "psi": (1, lambda p, d: d * (p + 1)),
+    "usigma": (1, lambda p, d: d * p + 1),
 }
-_WIDE = ("psi", "usigma")  # the columns that exceed n, kept as int64
 # A prime with fewer multiples than this in a table is gathered, not strided.
 _GATHER_BELOW = 256
 
 
 @dataclass(frozen=True)
 class BlockTable:
-    """Multiplicative-function values on a block; row i is n[i].
+    """One variant's values on a block; row i is n[i], values[i] is f(n[i]).
 
     Rows run over every n in [lo, hi) (n = lo + i) or, in the odd layout,
-    over the odd n only (n = lo + 2i).  A column that was not requested
-    from build_table is None.
+    over the odd n only (n = lo + 2i).
     """
 
     lo: int
     hi: int
     n: np.ndarray
-    phi: Optional[np.ndarray] = None
-    uphi: Optional[np.ndarray] = None
-    psi: Optional[np.ndarray] = None
-    usigma: Optional[np.ndarray] = None
-    omega: Optional[np.ndarray] = None
-    n1: Optional[np.ndarray] = None  # product of primes dividing n exactly once
+    values: np.ndarray
 
 
 def _first_rows(lo, m, odd: bool):
@@ -142,10 +130,9 @@ def _spans(count: np.ndarray, budget: int) -> Iterator[slice]:
         yield slice(a, b)
 
 
-def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
-                odd: bool = False) -> BlockTable:
-    """Sieve the requested columns of phi, phi*, psi, sigma*, omega and the
-    unit-exponent kernel n1 on [lo, hi), over every n or (odd) the odd n only.
+def build_table(lo: int, hi: int, variant: str, odd: bool = False) -> BlockTable:
+    """Sieve one variant, phi, phi*, psi or sigma*, on [lo, hi), over every n
+    or (odd) the odd n only.
 
     Row i is n = lo + step*i, step 1 or 2, so the multiples of an m prime to
     the step sit m rows apart from _first_rows(lo, m, odd), which numpy gives
@@ -154,11 +141,10 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     so a block's cost follows the rows the primes touch, not their number:
     - strided: a prime with at least _GATHER_BELOW multiples in the table
       (p <= rows // _GATHER_BELOW, so p <= 1024 at 2**18 rows) multiplies its
-      multiples in place by a scalar, f(p) and p, one slice per column;
+      multiples in place by p and f(p), one slice each;
     - gathered: the larger primes, which touch fewer rows each, build their
-      row lists in int32 spans of about rows // 8 entries and apply f(p) and p
-      with np.multiply.at and omega with np.add.at, which are exact where two
-      such primes share a row;
+      row lists in int32 spans of about rows // 8 entries and apply p and f(p)
+      with np.multiply.at, which is exact where two such primes share a row;
     - prime powers: only the rows where p**2 | n, strided or gathered as
       above, get d = p**(e-1), divide out f(p) and multiply in f(p**e).
     Any n < hi has at most one prime factor above sqrt(hi - 1), left over at
@@ -167,33 +153,31 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     with no mask: rem += rem > 1 for +1, rem -= 1 then max(rem, 1) for -1.
 
     One dtype rule holds for every range: n, the factored part of n, the
-    exponent array and the phi, phi* and n1 columns are int32; psi and
-    sigma* are int64; omega is int16.  int32 has the headroom because
-    - every partial product of the factored part, phi, phi* and n1 is at most
-      its final value, and the final value is at most n: ufunc.at multiplies
-      one factor at a time, and the power step divides f(p) out before it
+    exponent array and the phi and phi* values are int32; the psi and sigma*
+    values are int64.  int32 has the headroom because
+    - every partial product of the factored part, phi and phi* is at most its
+      final value, and the final value is at most n: ufunc.at multiplies one
+      factor at a time, and the power step divides f(p) out before it
       multiplies f(p**e) in;
     - n <= Config.MAX_SCAN_LIMIT = 10**9;
     - the leftover's rem + 1 and _hit_arrays' n + sign are at most
       10**9 + 1 < 2**31 - 1, and _hit_arrays forms no product.
     psi(n) reaches about 3.75n below 10**9 (psi(892371480) > 2**31), so psi
-    and sigma* need int64.
+    and sigma*, the variants with offset +1, need int64.
     """
-    columns = set(columns)
-    if not columns <= set(COLUMNS):
-        raise ValueError(f"unknown columns {sorted(columns - set(COLUMNS))}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"range end {hi - 1} exceeds limit {Config.MAX_SCAN_LIMIT}")
     if odd and lo % 2 == 0:
         raise ValueError(f"the odd layout needs an odd lo, got {lo}")
+    offset, power = _MULTIPLICATIVE[variant]
     n = np.arange(lo, hi, 2 if odd else 1, dtype=np.int32)
     size = n.size
     done = np.ones(size, dtype=np.int32)  # the part of n factored so far
-    updates = [(c, *f) for c, f in _MULTIPLICATIVE.items() if c in columns]
-    cols = {c: np.ones(size, dtype=np.int64 if c in _WIDE else np.int32) for c, _, _ in updates}
-    omega = np.zeros(size, dtype=np.int16) if "omega" in columns else None
+    values = np.ones(size, dtype=np.int64 if offset == 1 else np.int32)
     base = primes.primes_up_to(math.isqrt(hi - 1))
     if odd:
         base = base[base > 2]
@@ -204,10 +188,7 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
     for p, f in zip(base[:split].tolist(), first[:split].tolist()):
         s = slice(f, None, p)
         done[s] *= p
-        for c, offset, _ in updates:
-            cols[c][s] *= p + offset
-        if omega is not None:
-            omega[s] += 1
+        values[s] *= p + offset
 
     # gathered pass: the other primes, one span of about size // 8 rows at a time
     large = base[split:]
@@ -216,13 +197,8 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
         rows = _gathered_rows(first[split:][span], large[span], count[span])
         ps = np.repeat(large[span].astype(np.int32), count[span])
         np.multiply.at(done, rows, ps)
-        shift = 0
-        for c, offset, _ in updates:
-            ps += offset - shift  # now f(p)
-            shift = offset
-            np.multiply.at(cols[c], rows, ps)
-        if omega is not None:
-            np.add.at(omega, rows, 1)
+        ps += offset  # now f(p)
+        np.multiply.at(values, rows, ps)
         del rows, ps  # before the next span's
 
     # prime powers: the rows where p**2 | n, strided or gathered by the same
@@ -239,10 +215,9 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
             d[(fk - f) // q::pk // q] *= p
             pk *= p
         done[s] *= d
-        for c, offset, power in updates:
-            v = cols[c][s]
-            v //= p + offset
-            v *= power(p, d)
+        v = values[s]
+        v //= p + offset
+        v *= power(p, d)
     count = _row_counts(first[split:], squares[split:], size)
     if count.any():
         rows = _gathered_rows(first[split:], squares[split:], count)
@@ -252,26 +227,17 @@ def build_table(lo: int, hi: int, columns: Collection[str] = COLUMNS,
             np.multiply(d, ps, out=d, where=deeper)
             np.floor_divide(t, ps, out=t, where=deeper)
         np.multiply.at(done, rows, d)
-        for c, offset, power in updates:
-            np.floor_divide.at(cols[c], rows, ps + offset)
-            np.multiply.at(cols[c], rows, power(ps, d))
+        np.floor_divide.at(values, rows, ps + offset)
+        np.multiply.at(values, rows, power(ps, d))
 
     rem = np.floor_divide(n, done, out=done)  # 1, or the one prime factor above sqrt(hi - 1)
-    if omega is not None:
-        omega += rem > 1
-    # updates run in the offset order 0, +1, -1, so one rem serves every
-    # column: max(g - 2, 1) takes g = rem + (rem > 1) to the -1 form
-    shift = 0  # the offset rem holds
-    for c, offset, _ in updates:
-        if offset != shift:
-            if offset == 1:
-                rem += rem > 1
-            else:
-                rem -= 1 + shift
-                np.maximum(rem, 1, out=rem)
-            shift = offset
-        cols[c] *= rem
-    return BlockTable(lo=lo, hi=hi, n=n, omega=omega, **cols)
+    if offset == 1:
+        rem += rem > 1
+    else:
+        rem -= 1
+        np.maximum(rem, 1, out=rem)
+    values *= rem
+    return BlockTable(lo=lo, hi=hi, n=n, values=values)
 
 
 # ----- solutions -----
@@ -348,18 +314,18 @@ def default_min_m(variant: str) -> int:
 
 def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
                 min_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of tbl whose n solves the variant equation with a multiplier
-    >= min_m, and those multipliers; reads tbl.n and the variant's column,
-    and leaves the table unchanged.
+    """Rows of tbl, the variant's table, whose n solves the variant equation
+    with a multiplier >= min_m, and those multipliers; leaves the table
+    unchanged.
 
     Only the candidate rows are divided: with num = n + sign - f(n) (totients)
     or f(n) - sign - n, a hit has num = (m - 1) * den, so m = 1 is num = 0 and
     m >= 2 needs num >= den.
     """
     if variant in TOTIENT_VARIANTS:
-        top, den, offset = tbl.n, (tbl.phi if variant == "phi" else tbl.uphi), sign
+        top, den, offset = tbl.n, tbl.values, sign
     else:
-        top, den, offset = (tbl.psi if variant == "psi" else tbl.usigma), tbl.n, -sign
+        top, den, offset = tbl.values, tbl.n, -sign
     # num >= 0 for every n >= 2: phi(n), phi*(n) <= n - 1 and psi(n), sigma*(n) >= n + 1
     num = top + offset
     num -= den
@@ -378,7 +344,7 @@ def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
 def _block_hits(a: int, b: int, variant: str, sign: int, min_m: int,
                 odd: bool) -> tuple[np.ndarray, np.ndarray]:
     """The hits (n, m) of one block's table, which dies here."""
-    tbl = build_table(a, b, (variant,), odd)
+    tbl = build_table(a, b, variant, odd)
     hit, m = _hit_arrays(tbl, variant, sign, min_m)
     return tbl.n[hit], m
 
@@ -532,8 +498,5 @@ def fermat_family(k: int) -> Solution:
     if not 1 <= k <= len(KNOWN_FERMAT_PRIMES):
         raise ValueError(f"k must be in 1..{len(KNOWN_FERMAT_PRIMES)}, got {k}")
     f = arith.from_pairs([(p, 1) for p in KNOWN_FERMAT_PRIMES[:k]])
-    pr = arith.profile(f)
-    if 2 * pr.phi != pr.n + 1:
-        raise AssertionError(f"Fermat product {pr.n} lost its defining identity")
-    return Solution(n=pr.n, m=2, variant="phi", sign=1,
+    return Solution(n=f.value, m=2, variant="phi", sign=1,
                     factorization=f, classification=classify(f))

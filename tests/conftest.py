@@ -1,10 +1,14 @@
 """Shared fixtures; collects acceptance-criterion outcomes for the final summary."""
 
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from repulse import primes
 
 _ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
 
@@ -21,6 +25,26 @@ def acceptance():
         _ACCEPTANCE[number] = (title, bool(passed), detail)
 
     return record
+
+
+@pytest.fixture
+def prime_power_mask():
+    """mask(hi): a bool array over 0..hi that is True exactly at the prime
+    powers p**e, e >= 1, built from primes.primes_up_to, not from the block
+    sieve it checks."""
+
+    def mask(hi: int) -> np.ndarray:
+        out = np.zeros(hi + 1, dtype=bool)
+        ps = primes.primes_up_to(hi)
+        out[ps] = True
+        for p in ps[ps <= math.isqrt(hi)].tolist():
+            q = p * p
+            while q <= hi:
+                out[q] = True
+                q *= p
+        return out
+
+    return mask
 
 
 @pytest.fixture

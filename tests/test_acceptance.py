@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repulse import arith, bounds, catalog, largesieve, repulsive, search
+from repulse import arith, bounds, catalog, largesieve, primes, repulsive, search
 from repulse.bounds import EULER_GAMMA
 from repulse.cli import random_lemma21_trial
 
@@ -32,7 +32,16 @@ LIMIT_LARGE = 10**7
 
 @pytest.fixture(scope="module")
 def table_1e6():
-    return search.build_table(2, LIMIT_SMALL + 1)
+    # the variant tables on [2, 1e6] that criteria 3 and 10 read
+    return {v: search.build_table(2, LIMIT_SMALL + 1, v) for v in ("phi", "psi", "usigma")}
+
+
+def squarefree_mask(hi: int) -> np.ndarray:
+    # a bool array over 0..hi, False exactly at the multiples of some p**2
+    out = np.ones(hi + 1, dtype=bool)
+    for p in primes.primes_up_to(math.isqrt(hi)).tolist():
+        out[p * p::p * p] = False
+    return out
 
 
 # ----- criterion 1 -----
@@ -74,10 +83,11 @@ def test_criterion_02_subbarao_audit(acceptance):
 # ----- criterion 3 -----
 
 
-def test_criterion_03_usigma_characterizes_prime_powers(acceptance, table_1e6):
-    tbl = table_1e6
-    lhs = tbl.usigma == tbl.n + 1
-    rhs = tbl.omega == np.int16(1)
+def test_criterion_03_usigma_characterizes_prime_powers(acceptance, table_1e6,
+                                                        prime_power_mask):
+    tbl = table_1e6["usigma"]
+    lhs = tbl.values == tbl.n + 1
+    rhs = prime_power_mask(LIMIT_SMALL)[2:]
     ok = bool(np.array_equal(lhs, rhs))
     acceptance(
         3,
@@ -312,12 +322,12 @@ def test_criterion_09_catalog_verification(acceptance):
 
 
 def test_criterion_10_coprimality_forces_repulsive_support(acceptance, table_1e6):
-    tbl = table_1e6
+    sf = squarefree_mask(LIMIT_SMALL)
     outcomes = {}
-    for a, func_col in ((1, tbl.phi), (-1, tbl.psi)):
-        mask = np.gcd(tbl.n, func_col) == 1
+    for a, tbl in ((1, table_1e6["phi"]), (-1, table_1e6["psi"])):
+        mask = np.gcd(tbl.n, tbl.values) == 1
         ns = tbl.n[mask]
-        squarefree = bool(np.array_equal(tbl.n1[mask], ns))
+        squarefree = bool(sf[ns].all())
         support_ok = True
         for n in ns.tolist():
             f = arith.factor(n)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,29 @@ def test_scan_jobs_do_not_change_bytes(capsys):
     assert len(out1.splitlines()) == 3245  # prime count below 30000
 
 
+# stdout sha256 of `scan --min-m 1 --to 300000`, which spans two 2**18-row
+# blocks; a change to the sieve or the writers must leave these bytes alone
+SCAN_300000_SHA256 = {
+    ("phi", "+1"): "eb24f1c1820c5dd4a07442187d9d9bfedcd3a5c3291fac6a7a319fb865b881b5",
+    ("phi", "-1"): "c08b7efaaeffab27471b13724baec54fa4c3946380d6057f970f7177fe77e87f",
+    ("uphi", "+1"): "346e6ce73b7916e82ee21436cc35d5737c02b6a37135e0888ff7d1bf309302a3",
+    ("uphi", "-1"): "dcd692f2d8f71edeaed0f2cf6dd2bb2a0745f44bbf4bc9458943551dff9a581e",
+    ("psi", "+1"): "9600746346c5fb78c7abc405ecb5bf4102b2557c4de964feebcd8f3d236fbeb7",
+    ("psi", "-1"): "f76bef3337b93fad778c67240d4298b21c45e2574732c73a904123eedfd195fe",
+    ("usigma", "+1"): "5c179c43c1d0e055ff55517eb46ae8fd3dce833226a694f417d8b1324294f5d2",
+    ("usigma", "-1"): "cedc3bf9d091426cfdde753b438abc7d4ec8036f865b6f9bd2f01475824476a7",
+}
+
+
+@pytest.mark.parametrize("variant, sign", list(SCAN_300000_SHA256))
+def test_scan_bytes_are_pinned(capsys, variant, sign):
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "scan", "--variant", variant, "--sign", sign,
+                           "--min-m", "1", "--to", "300000", "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_300000_SHA256[variant, sign]
+
+
 def test_scan_min_m_validation(capsys):
     code, _, err = run(capsys, "scan", "--variant", "phi", "--sign", "+1",
                        "--to", "10", "--min-m", "0")
@@ -233,6 +257,8 @@ def test_sieve_missing_file_is_io_error(capsys, tmp_path):
     pytest.param('{"a": 1, "primes": [0, 3], "cutoff": 100}', "0 is not prime", id="zero-member"),
     pytest.param('{"a": 1, "primes": [1, 3], "cutoff": 100}', "1 is not prime", id="one-member"),
     pytest.param('{"a": 1, "primes": [-7, 3], "cutoff": 100}', "-7 is not prime", id="negative-member"),
+    # json raised RecursionError, a traceback and exit 1
+    pytest.param("[" * 100_000 + "]" * 100_000, "nests too deeply", id="deep-nesting"),
 ])
 def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     setfile = tmp_path / "bad.json"
@@ -384,6 +410,10 @@ def _one_entry_catalog(path, expression, domain):
     ("1j*t", [1.0, 2.0]),
     ("'a'*t", [1.0, 2.0]),
     ("log(t, 2, 3)", [1.0, 2.0]),
+    # compile() raised RecursionError, and ast.parse MemoryError on the last
+    pytest.param("-" * 1000 + "t", [1.0, 2.0], id="unary-1000"),
+    pytest.param("+".join(["t"] * 1000), [1.0, 2.0], id="sum-1000"),
+    pytest.param("-" * 10000 + "t", [1.0, 2.0], id="unary-10000"),
 ])
 def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
                                                          expression, domain):
@@ -408,16 +438,22 @@ TOY_ENTRY = {"name": "toy", "kind": "closed_form", "direction": "sup_le",
     {"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": float("inf")}]},
     {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [float("nan"), 2.0]}]},
     {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [1.0, float("nan")]}]},
+    # a reversed domain used to verify as pass, a null name to be accepted
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [50.0, 10.0]}]},
+    {"version": "0.0.1", "entries": [{**TOY_ENTRY, "name": None}]},
+    # written as is: json raised RecursionError, a traceback and exit 1
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
 ])
 def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, catalog_json):
     alt = tmp_path / "cat.json"
-    alt.write_text(json.dumps(catalog_json))  # NaN and Infinity as JSON extensions
+    # NaN and Infinity as JSON extensions
+    alt.write_text(catalog_json if isinstance(catalog_json, str) else json.dumps(catalog_json))
     code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("repulse: ")
     if isinstance(catalog_json, dict) and isinstance(catalog_json["entries"][0], dict):
-        assert "'toy'" in err
+        assert repr(catalog_json["entries"][0]["name"]) in err
 
 
 def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
@@ -458,6 +494,8 @@ TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}
     # NaN or a negative tolerance used to give exceed at margin 0.0, exit 1
     ({**TOY_CATALOG, "tolerance": float("nan")}, [], "tolerance must be"),
     (TOY_CATALOG, ["--tolerance", "-1"], "tolerance must be"),
+    # true used to be taken as a tolerance of 1.0
+    ({**TOY_CATALOG, "tolerance": True}, [], "tolerance must be"),
     # used to raise a TypeError traceback
     ({**TOY_CATALOG, "entries": [{**TOY_ENTRY, "scan_hi": "a"}]}, [], "scan_hi 'a'"),
     # used to print only "repulse: version"
@@ -466,7 +504,7 @@ TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}
     (TOY_CATALOG, ["--grid", "1000000000000"], "grid must be at most 1000000 points"),
     ({**TOY_CATALOG, "default_grid": 10**12}, [], "grid must be at most 1000000 points"),
 ], ids=["grid-1", "grid-0", "default-grid-1", "tolerance-nan", "tolerance-negative",
-        "scan-hi-string", "missing-version", "grid-1e12", "default-grid-1e12"])
+        "tolerance-true", "scan-hi-string", "missing-version", "grid-1e12", "default-grid-1e12"])
 def test_verify_constants_bad_setting_is_usage_error(capsys, tmp_path, catalog_json, argv,
                                                      message):
     alt = tmp_path / "cat.json"

@@ -146,6 +146,16 @@ def test_greedy_rejects_bad_range():
         greedy_construct(30, 1, 1)
 
 
+@pytest.mark.parametrize("a, start, name, value", [
+    (1.5, 3, "a", 1.5),  # used to fail as a slice TypeError
+    (1, 3.5, "start", 3.5),  # used to fail as a range TypeError
+    (True, 3, "a", True),
+])
+def test_greedy_refuses_a_and_start_that_are_not_integers(a, start, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+        greedy_construct(100, a, start)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(3, 500), st.integers(-5, 5), st.sampled_from([2, 3, 5]))
 def test_greedy_output_is_self_repulsive(x, a, start):

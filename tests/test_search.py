@@ -29,8 +29,9 @@ NAIVE_LIMIT = 10**5
 
 
 def naive_profile_row(n: int) -> tuple[int, ...]:
+    # the four variants at n, in the order of search.VARIANTS
     pr = arith.profile(arith.factor(n))
-    return (pr.phi, pr.uphi, pr.psi, pr.usigma, pr.omega, pr.n1)
+    return (pr.phi, pr.uphi, pr.psi, pr.usigma)
 
 
 def pairs(solutions) -> list[tuple[int, int]]:
@@ -40,45 +41,29 @@ def pairs(solutions) -> list[tuple[int, int]]:
 # ----- sieve correctness -----
 
 
-SINGLE_COLUMNS = [(c,) for c in search.COLUMNS]
-ALL_SUBSETS = [cols for k in range(len(search.COLUMNS) + 1)
-               for cols in itertools.combinations(search.COLUMNS, k)]
+VARIANTS = search.VARIANTS
+DTYPES = {"phi": np.int32, "uphi": np.int32, "psi": np.int64, "usigma": np.int64}
 
 
-def assert_layouts_match_full(full: BlockTable, subsets) -> None:
-    # every requested column equals the full table, on every n or, from the
-    # first odd n, on the odd n only; a column not requested is absent
-    lo, hi = full.lo, full.hi
-    for columns in subsets:
+def assert_table_matches_oracle(lo: int, hi: int) -> None:
+    # oracle equivalence: each variant's table, on every n and, from the first
+    # odd n, on the odd n only, must reproduce a direct per-integer loop
+    want = [naive_profile_row(n) for n in range(lo, hi)]
+    for i, variant in enumerate(VARIANTS):
         for odd in (False, True):
             start = lo | 1 if odd else lo
             if start >= hi:
                 continue
-            tbl = build_table(start, hi, columns, odd)
-            rows = slice(start - lo, None, 2 if odd else 1)
-            assert np.array_equal(tbl.n, full.n[rows])
-            for c in search.COLUMNS:
-                got = getattr(tbl, c)
-                if c in columns:
-                    assert np.array_equal(got, getattr(full, c)[rows]), \
-                        f"{c} of {columns} (odd={odd}) disagrees in [{lo}, {hi})"
-                else:
-                    assert got is None, f"{c} computed though only {columns} was asked for"
-
-
-def assert_table_matches_oracle(lo: int, hi: int, subsets=SINGLE_COLUMNS) -> None:
-    # oracle equivalence: the sieve must reproduce a direct per-integer loop
-    tbl = build_table(lo, hi)
-    assert tbl.n.tolist() == list(range(lo, hi))
-    rows = zip(tbl.phi.tolist(), tbl.uphi.tolist(), tbl.psi.tolist(),
-               tbl.usigma.tolist(), tbl.omega.tolist(), tbl.n1.tolist())
-    for n, row in zip(range(lo, hi), rows):
-        assert row == naive_profile_row(n), f"sieve disagrees at n={n} in [{lo}, {hi})"
-    assert_layouts_match_full(tbl, subsets)
+            tbl = build_table(start, hi, variant, odd)
+            assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant]
+            assert tbl.n.tolist() == list(range(start, hi, 2 if odd else 1))
+            for n, value in zip(tbl.n.tolist(), tbl.values.tolist()):
+                assert value == want[n - lo][i], \
+                    f"{variant} (odd={odd}) disagrees at n={n} in [{lo}, {hi})"
 
 
 def test_block_table_matches_naive_loop():
-    assert_table_matches_oracle(2, NAIVE_LIMIT + 1, ALL_SUBSETS)
+    assert_table_matches_oracle(2, NAIVE_LIMIT + 1)
 
 
 # hypothesis favours small integers, so the windows come from both ends of [2, 1e9]
@@ -87,12 +72,12 @@ LOWS = st.integers(2, search.Config.MAX_SCAN_LIMIT + 1 - 2048)
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(lo=st.one_of(LOWS, LOWS.map(lambda lo: search.Config.MAX_SCAN_LIMIT + 3 - 2048 - lo)),
-       width=st.integers(1, 2048), columns=st.sets(st.sampled_from(search.COLUMNS)))
-def test_block_table_at_height_matches_oracle(lo, width, columns):
+       width=st.integers(1, 2048))
+def test_block_table_at_height_matches_oracle(lo, width):
     # large lo puts base primes near sqrt(1e9) and high prime powers in play;
     # up to 2048 rows, so the primes up to 8 take the strided pass and the
     # others the gathered one
-    assert_table_matches_oracle(lo, lo + width, [*SINGLE_COLUMNS, tuple(columns)])
+    assert_table_matches_oracle(lo, lo + width)
 
 
 @pytest.mark.parametrize("center", [
@@ -102,22 +87,17 @@ def test_block_table_at_height_matches_oracle(lo, width, columns):
     search.Config.MAX_SCAN_LIMIT - 255,  # the window ending at the scan limit
 ])
 def test_block_table_windows_straddling_prime_powers(center):
-    assert_table_matches_oracle(center - 256, center + 256, ALL_SUBSETS)
+    assert_table_matches_oracle(center - 256, center + 256)
 
 
-def assert_rows_match_oracle(tbl: BlockTable, rows) -> None:
-    # the requested columns of the given rows against the per-integer loop, and the dtype rule
-    dtypes = {"phi": np.int32, "uphi": np.int32, "psi": np.int64, "usigma": np.int64,
-              "omega": np.int16, "n1": np.int32}
-    columns = [c for c in search.COLUMNS if getattr(tbl, c) is not None]
-    assert tbl.n.dtype == np.int32
-    for c in columns:
-        assert getattr(tbl, c).dtype == dtypes[c], c
-    for i in rows:
-        n = int(tbl.n[i])
-        want = dict(zip(search.COLUMNS, naive_profile_row(n)))
-        got = {c: int(getattr(tbl, c)[i]) for c in columns}
-        assert got == {c: want[c] for c in columns}, f"sieve disagrees at n={n} in [{tbl.lo}, {tbl.hi})"
+def assert_rows_match_oracle(tbl: BlockTable, variant: str, rows) -> None:
+    # the given rows of one variant's table against the per-integer loop, and the dtype rule
+    assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant]
+    i = VARIANTS.index(variant)
+    for row in rows:
+        n = int(tbl.n[row])
+        assert int(tbl.values[row]) == naive_profile_row(n)[i], \
+            f"{variant} disagrees at n={n} in [{tbl.lo}, {tbl.hi})"
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -137,28 +117,30 @@ def test_full_block_rows_match_oracle(center, multiple, odd):
     assert 1031 > size // search._GATHER_BELOW  # 1031 and 1033 are gathered
     step = 2 if odd else 1
     lo = min(center - step * (size // 2), search.Config.MAX_SCAN_LIMIT + 1 - step * size)
-    tbl = build_table(lo, lo + step * size, search.COLUMNS, odd)
-    assert tbl.n.size == size and int(tbl.n[0]) == lo
     rows = {0, 1, 2, size - 3, size - 2, size - 1, *np.random.default_rng(center).integers(0, size, 200)}
-    if multiple is not None:
-        hits = np.flatnonzero(tbl.n % multiple == 0)
-        assert center in tbl.n[hits]
-        rows.update(hits.tolist())
-    assert_rows_match_oracle(tbl, sorted(rows))
+    for variant in VARIANTS:
+        tbl = build_table(lo, lo + step * size, variant, odd)
+        assert tbl.n.size == size and int(tbl.n[0]) == lo
+        if multiple is not None:
+            hits = np.flatnonzero(tbl.n % multiple == 0)
+            assert center in tbl.n[hits]
+            rows.update(hits.tolist())
+        assert_rows_match_oracle(tbl, variant, sorted(rows))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 1031 * 1033, 1031**2, 3**18, 2**29, 31607**2,
                                search.Config.MAX_SCAN_LIMIT - 1, search.Config.MAX_SCAN_LIMIT])
 def test_one_row_tables_match_oracle(n):
     for odd in (False, True) if n % 2 else (False,):
-        assert_rows_match_oracle(build_table(n, n + 1, search.COLUMNS, odd), [0])
+        for variant in VARIANTS:
+            assert_rows_match_oracle(build_table(n, n + 1, variant, odd), variant, [0])
 
 
-@pytest.mark.parametrize("columns, odd, fraction", [
-    (("phi",), True, 0.75),  # the audit's table: n and phi, 8 bytes a row
-    (("psi",), False, 0.6),  # the scan's table: n and psi, 12 bytes a row
+@pytest.mark.parametrize("variant, odd, fraction", [
+    ("phi", True, 0.75),  # the audit's table: n and phi, 8 bytes a row
+    ("psi", False, 0.6),  # the scan's table: n and psi, 12 bytes a row
 ])
-def test_block_scratch_is_a_fraction_of_its_columns(columns, odd, fraction):
+def test_block_scratch_is_a_fraction_of_its_columns(variant, odd, fraction):
     # beside the columns it returns, a block holds the factored part (4 bytes
     # a row), then either a gathered span of at most about size // 8 rows (8
     # bytes each) or, for a +1 column, the leftover's rem > 1 (1 byte a row);
@@ -167,14 +149,14 @@ def test_block_scratch_is_a_fraction_of_its_columns(columns, odd, fraction):
     size = search.Config.BLOCK_SIZE
     step = 2 if odd else 1
     lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
-    build_table(lo, lo + step * size, columns, odd)  # warm the prime cache
+    build_table(lo, lo + step * size, variant, odd)  # warm the prime cache
     tracemalloc.start()
     try:
-        tbl = build_table(lo, lo + step * size, columns, odd)
+        tbl = build_table(lo, lo + step * size, variant, odd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(getattr(tbl, c).nbytes for c in ("n", *columns))
+    kept = tbl.n.nbytes + tbl.values.nbytes
     assert peak - kept <= fraction * kept, (peak - kept) / kept
 
 
@@ -209,14 +191,12 @@ def test_first_rows_in_the_odd_layout_stay_exact_for_large_moduli(lo):
 
 
 def test_block_table_dtypes_have_headroom():
-    # n, phi, phi* and n1 never exceed n, and _hit_arrays forms n + 1, so
-    # int32 holds them up to the scan limit; psi and sigma* exceed n
+    # n, phi and phi* never exceed n, and _hit_arrays forms n + 1, so int32
+    # holds them up to the scan limit; psi and sigma* exceed n
     assert search.Config.MAX_SCAN_LIMIT + 1 < 2**31
-    tbl = build_table(2, 1000)
-    for field in ("n", "phi", "uphi", "n1"):
-        assert getattr(tbl, field).dtype == np.int32, field
-    for field in ("psi", "usigma"):
-        assert getattr(tbl, field).dtype == np.int64, field
+    for variant in VARIANTS:
+        tbl = build_table(2, 1000, variant)
+        assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant], variant
 
 
 def spy_on_pools(monkeypatch) -> list[int]:
@@ -256,35 +236,39 @@ def test_one_block_range_starts_no_pool(monkeypatch):
 
 
 def test_block_table_block_boundaries():
-    # splitting a range into blocks must not change any column
-    whole = build_table(2, 5000)
-    a = build_table(2, 2048)
-    b = build_table(2048, 5000)
-    for field in ("n", "phi", "uphi", "psi", "usigma", "omega", "n1"):
-        merged = np.concatenate([getattr(a, field), getattr(b, field)])
-        assert np.array_equal(merged, getattr(whole, field)), field
+    # splitting a range into blocks must not change any variant's table
+    for variant in VARIANTS:
+        whole = build_table(2, 5000, variant)
+        a = build_table(2, 2048, variant)
+        b = build_table(2048, 5000, variant)
+        for field in ("n", "values"):
+            merged = np.concatenate([getattr(a, field), getattr(b, field)])
+            assert np.array_equal(merged, getattr(whole, field)), (variant, field)
 
 
 def test_block_table_validation():
     with pytest.raises(ValueError):
-        build_table(1, 10)
+        build_table(1, 10, "phi")
     with pytest.raises(ValueError):
-        build_table(10, 10)
+        build_table(10, 10, "phi")
     with pytest.raises(ValueError):
-        build_table(2, search.Config.MAX_SCAN_LIMIT + 2)
+        build_table(2, search.Config.MAX_SCAN_LIMIT + 2, "phi")
     with pytest.raises(ValueError):
-        build_table(10, 20, odd=True)  # the odd layout starts at an odd n
-    with pytest.raises(ValueError):
-        build_table(2, 10, ("phi", "sigma"))
+        build_table(10, 20, "phi", odd=True)  # the odd layout starts at an odd n
+    for name in ("sigma", "omega", "n1", "PHI", ("phi",), None):
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_table(2, 10, name)
 
 
-def test_audit_family_identities():
+def test_audit_family_identities(prime_power_mask):
     # the audits take their family to be the m = 1 hits: phi(n) = n - 1 iff n
     # is prime, and phi*(n) = n - 1 iff n is a prime power
-    tbl = build_table(2, 10**5 + 1)
-    prime = np.isin(tbl.n, primes.primes_up_to(10**5))
-    assert np.array_equal(tbl.phi == tbl.n - 1, prime)
-    assert np.array_equal(tbl.uphi == tbl.n - 1, tbl.omega == 1)
+    hi = 10**5
+    n = np.arange(2, hi + 1)
+    prime = np.isin(n, primes.primes_up_to(hi))
+    assert np.array_equal(build_table(2, hi + 1, "phi").values == n - 1, prime)
+    assert np.array_equal(build_table(2, hi + 1, "uphi").values == n - 1,
+                          prime_power_mask(hi)[2:])
 
 
 # ----- scan: classical and unitary totient -----
@@ -626,10 +610,10 @@ def test_audit_report_json():
     assert isinstance(js["wall_time"], float)
 
 
-def audit_by_full_table(full: BlockTable, variant: str, hi: int) -> tuple[int, list[int]]:
+def audit_by_full_table(full: BlockTable, hi: int) -> tuple[int, list[int]]:
     # the audit counted over every n in [2, hi] of a full table starting at 2
     n = full.n[:max(hi - 1, 0)]
-    den = getattr(full, variant)[:n.size]
+    den = full.values[:n.size]
     divides = (n - 1) % den == 0
     family = divides & (den == n - 1)
     return int(np.count_nonzero(family)), n[divides & ~family].tolist()
@@ -639,10 +623,10 @@ def audit_by_full_table(full: BlockTable, variant: str, hi: int) -> tuple[int, l
 def test_odd_only_audits_match_full_table(audit, variant):
     # the audits sieve odd n only and add n = 2, or the powers of 2, in
     # closed form; the parity argument must hold for every hi
-    full = build_table(2, 10**6 + 1)
+    full = build_table(2, 10**6 + 1, variant)
     for hi in [*range(1, 301), 10**6]:
         rep = audit(hi)
-        want = audit_by_full_table(full, variant, hi)
+        want = audit_by_full_table(full, hi)
         assert (rep.family_count, [s.n for s in rep.counterexamples]) == want, hi
 
 
@@ -650,27 +634,27 @@ def test_queries_sieve_only_the_columns_they_read(monkeypatch):
     calls = []
     real = search.build_table
 
-    def spy(lo, hi, columns=search.COLUMNS, odd=False):
-        calls.append((tuple(columns), odd))
-        return real(lo, hi, columns, odd)
+    def spy(lo, hi, variant, odd=False):
+        calls.append((variant, odd))
+        return real(lo, hi, variant, odd)
 
     monkeypatch.setattr(search, "build_table", spy)
     lehmer_audit(1000)
     subbarao_audit(1000)
     list(scan(2, 1000, "psi", 1))
-    assert calls == [(("phi",), True), (("uphi",), True), (("psi",), False)]
+    assert calls == [("phi", True), ("uphi", True), ("psi", False)]
 
 
 
 # ----- the block loop -----
 
 
-VARIANT_SIGNS = list(itertools.product(("phi", "uphi", "psi", "usigma"), (1, -1)))
+VARIANT_SIGNS = list(itertools.product(VARIANTS, (1, -1)))
 
 
 def one_table_hits(lo, hi, variant, sign, min_m, odd=False) -> list[tuple[int, int]]:
     # the oracle of the block loop: _hit_arrays on one table over [lo, hi]
-    tbl = build_table(lo, hi + 1, (variant,), odd)
+    tbl = build_table(lo, hi + 1, variant, odd)
     hit, m = search._hit_arrays(tbl, variant, sign, min_m)
     return list(zip(tbl.n[hit].tolist(), m.tolist()))
 
@@ -678,9 +662,9 @@ def one_table_hits(lo, hi, variant, sign, min_m, odd=False) -> list[tuple[int, i
 def full_row_hits(tbl: BlockTable, variant: str, sign: int, min_m: int):
     # the oracle of _hit_arrays: the remainder of every row
     if variant in search.TOTIENT_VARIANTS:
-        top, den, offset = tbl.n, getattr(tbl, variant), sign
+        top, den, offset = tbl.n, tbl.values, sign
     else:
-        top, den, offset = getattr(tbl, variant), tbl.n, -sign
+        top, den, offset = tbl.values, tbl.n, -sign
     num = top + offset
     hit = np.flatnonzero(num % den == 0)
     m = num[hit] // den[hit]
@@ -700,19 +684,21 @@ def test_hit_arrays_match_full_row_remainders(lo, fermat, odd):
         lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
     else:
         size = 4096
-    tbl = build_table(lo, lo + step * size, search.COLUMNS, odd)
-    before = {c: getattr(tbl, c).copy() for c in ("n", *search.COLUMNS)}
-    assert np.any((tbl.phi < tbl.n + 1) & (tbl.n + 1 < 2 * tbl.phi))  # den < num < 2 den
+    tables = {v: build_table(lo, lo + step * size, v, odd) for v in VARIANTS}
+    before = {v: (tbl.n.copy(), tbl.values.copy()) for v, tbl in tables.items()}
+    phi = tables["phi"]
+    assert np.any((phi.values < phi.n + 1) & (phi.n + 1 < 2 * phi.values))  # den < num < 2 den
     for variant, sign in VARIANT_SIGNS:
         for min_m in (1, 2, 3, 7):
-            hit, m = search._hit_arrays(tbl, variant, sign, min_m)
-            want_hit, want_m = full_row_hits(tbl, variant, sign, min_m)
+            hit, m = search._hit_arrays(tables[variant], variant, sign, min_m)
+            want_hit, want_m = full_row_hits(tables[variant], variant, sign, min_m)
             assert hit.dtype == want_hit.dtype and m.dtype == want_m.dtype, (variant, sign, min_m)
             assert np.array_equal(hit, want_hit) and np.array_equal(m, want_m), (variant, sign, min_m)
-    for c, column in before.items():
-        assert getattr(tbl, c).dtype == column.dtype and np.array_equal(getattr(tbl, c), column), c
-    hit, m = search._hit_arrays(tbl, "phi", 1, 2)
-    assert {n: 2 for n in fermat}.items() <= dict(zip(tbl.n[hit].tolist(), m.tolist())).items()
+    for v, columns in before.items():
+        for got, column in zip((tables[v].n, tables[v].values), columns):
+            assert got.dtype == column.dtype and np.array_equal(got, column), v
+    hit, m = search._hit_arrays(phi, "phi", 1, 2)
+    assert {n: 2 for n in fermat}.items() <= dict(zip(phi.n[hit].tolist(), m.tolist())).items()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

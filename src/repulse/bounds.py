@@ -166,7 +166,13 @@ def exp_correction(t: float) -> float:
 
 
 def boundary_log_count(t: float) -> float:
-    """The solution L of L + log L = t, iterated to fixed point.
+    """The solution L of L + log L = t: up to 80 iterations of
+    L -> t - log L, stopping early at an exact float fixed point.
+
+    The map is deterministic, so once one step returns its input every
+    later step does too, and the early stop returns what 80 steps would.
+    A t whose iterates never settle (a 2-cycle of neighbouring floats, or
+    NaN) runs all 80.
 
     L is the logarithm of the prime count in the boundary case where
     the count equals e^t divided by its own logarithm.
@@ -175,7 +181,9 @@ def boundary_log_count(t: float) -> float:
         raise ValueError(f"t = {t} out of range: need t > 1")
     level = t - math.log(t)
     for _ in range(80):
-        level = t - math.log(level)
+        level, last = t - math.log(level), level
+        if level == last:
+            break
     return level
 
 

@@ -222,8 +222,8 @@ class ConstantCheck:
                 domain_lo=float(lo),
                 domain_hi=math.inf if hi is None else float(hi),
                 claimed=float(d["claimed"]),
-                flagged=bool(d.get("flagged", False)),
-                integer_domain=bool(d.get("integer_domain", False)),
+                flagged=d.get("flagged", False),
+                integer_domain=d.get("integer_domain", False),
                 scan_hi=d.get("scan_hi"),
                 tail_note=d.get("tail_note"),
                 note=d.get("note"),
@@ -237,6 +237,14 @@ class ConstantCheck:
             raise ValueError(f"catalog entry {name!r} is malformed: {exc!r}") from None
         if not isinstance(entry.name, str):
             raise ValueError(f"catalog entry {name!r} has a name that is not a string")
+        for key in ("flagged", "integer_domain"):
+            if type(getattr(entry, key)) is not bool:
+                raise ValueError(f"catalog entry {name!r} has {key} {d[key]!r}; "
+                                 "it must be true or false")
+        for key in ("tail_note", "note", "cite"):
+            if not isinstance(getattr(entry, key), (str, type(None))):
+                raise ValueError(f"catalog entry {name!r} has {key} {d[key]!r}; "
+                                 "it must be a string or null")
         finite = math.isfinite(entry.claimed) and math.isfinite(entry.domain_lo)
         if not finite or math.isnan(entry.domain_hi):
             raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
@@ -303,6 +311,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
         raw = json.loads(text)
     except RecursionError:
         raise ValueError("catalog nests too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"catalog is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ValueError("catalog must be a JSON object with an 'entries' list")
     if "version" not in raw:

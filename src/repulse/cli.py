@@ -158,6 +158,8 @@ def _load_prime_set(path: str) -> repulsive.PrimeSet:
             raw = json.load(handle)
         except RecursionError:
             raise ValueError(f"set file {path} nests too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"set file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not {"a", "primes", "cutoff"} <= raw.keys():
         raise ValueError(f"set file {path} needs keys a, primes, cutoff")
     a, members, cutoff = raw["a"], raw["primes"], raw["cutoff"]
@@ -378,7 +380,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args, out)
     except BrokenPipeError:
         return 0
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"repulse: I/O error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

@@ -322,9 +322,10 @@ def lemma22_margin(y: float) -> float:
 
     Positive return means the lower-bound inequality holds at y.  The stated
     range starts at 60; smaller y >= 2 are evaluated without any assertion.
+    A y that is not finite raises ValueError.
     """
-    if y < 2:
-        raise ValueError(f"need y >= 2, got {y}")
+    if not 2 <= y < math.inf:
+        raise ValueError(f"need a finite y >= 2, got {y}")
     s = _tau_ratio_fast(y)
     ly = math.log(y)
     return s - (ly * ly / 2 + 2 * EULER_GAMMA * ly + 0.4)
@@ -332,8 +333,8 @@ def lemma22_margin(y: float) -> float:
 
 def b0_estimate(y: int) -> float:
     """Empirical limit of sum tau(m)/m - log^2 y / 2 - 2 gamma log y as y grows."""
-    if y < 1000:
-        raise ValueError(f"need y >= 1000, got {y}")
+    if not 1000 <= y < math.inf:
+        raise ValueError(f"need a finite y >= 1000, got {y}")
     s = _tau_ratio_fast(y)
     ly = math.log(y)
     return s - (ly * ly / 2 + 2 * EULER_GAMMA * ly)

@@ -67,23 +67,33 @@ def smallest_prime_factor() -> np.ndarray:
     return _spf_cache
 
 
+def _first_rows(lo, m, odd: bool):
+    """The first row whose n is a multiple of m, for an int or an int64 array m
+    (odd in the odd layout, where row k holds lo + 2k, so k = r / 2 mod m for
+    r = -lo mod m: r / 2 when r is even, (r + m) / 2 when r is odd)."""
+    r = -lo % m
+    return (r + (r & 1) * m) // 2 if odd else r
+
+
 def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Primes in [lo, hi), for 2 <= lo and hi <= MAX_ENUMERATION + 1, as int64
     arrays of one SEGMENT_SIZE block each; base primes come from small_primes().
 
     Each block flags its odd integers only: row i is (seg_lo | 1) + 2i, so the
     odd multiples of an odd p sit p rows apart, and 2 is prepended to the
-    block that starts at 2."""
+    block that starts at 2.  Only the live base primes, p**2 < the block's
+    end, strike anything; the first row of each, its first odd multiple but
+    not below p**2, comes from one numpy expression over _first_rows, the
+    formula the search sieve uses too."""
     ps = small_primes()
-    base = ps[1:int(np.searchsorted(ps, math.isqrt(max(hi - 1, 0)), side="right"))].tolist()
+    base = ps[1:int(np.searchsorted(ps, math.isqrt(max(hi - 1, 0)), side="right"))]
     for seg_lo in range(lo, hi, Config.SEGMENT_SIZE):
-        first = seg_lo | 1
-        flags = np.ones((min(seg_lo + Config.SEGMENT_SIZE, hi) - first + 1) // 2, dtype=bool)
-        for p in base:
-            m = max(p * p, -(-first // p) * p)
-            if m % 2 == 0:
-                m += p  # the first odd multiple
-            flags[(m - first) // 2::p] = False
+        first, end = seg_lo | 1, min(seg_lo + Config.SEGMENT_SIZE, hi)
+        flags = np.ones((end - first + 1) // 2, dtype=bool)
+        live = base[:int(np.searchsorted(base, math.isqrt(end - 1), side="right"))]
+        rows = np.maximum(_first_rows(first, live, odd=True), (live * live - first) // 2)
+        for f, p in zip(rows.tolist(), live.tolist()):
+            flags[f::p] = False
         seg = np.flatnonzero(flags).astype(np.int64) * 2 + first
         yield np.concatenate(([2], seg)) if seg_lo == 2 else seg
 

@@ -47,6 +47,7 @@ import numpy as np
 from . import arith, primes
 from .arith import Factorization, _integer
 from .bounds import TOTIENT_VARIANTS, VARIANTS, _check_variant_sign
+from .primes import _first_rows
 
 
 class Config:
@@ -89,14 +90,6 @@ class BlockTable:
     hi: int
     n: np.ndarray
     values: np.ndarray
-
-
-def _first_rows(lo, m, odd: bool):
-    """The first row whose n is a multiple of m, for an int or an int64 array m
-    (odd in the odd layout, where row k holds lo + 2k, so k = r / 2 mod m for
-    r = -lo mod m: r / 2 when r is even, (r + m) / 2 when r is odd)."""
-    r = -lo % m
-    return (r + (r & 1) * m) // 2 if odd else r
 
 
 def _row_counts(first: np.ndarray, stride: np.ndarray, size: int) -> np.ndarray:

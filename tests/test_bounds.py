@@ -251,6 +251,27 @@ def test_boundary_log_count_fixed_point():
         boundary_log_count(1.0)
 
 
+def _boundary_log_count_80(t):
+    # the oracle: always 80 iterations, no early stop
+    level = t - math.log(t)
+    for _ in range(80):
+        level = t - math.log(level)
+    return level
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(1.0001, 10.0, 4001),
+    np.linspace(4.0, 93.0, 4001),
+    np.geomspace(72.0, 1e7, 4001),
+], ids=["1.0001-10", "4-93", "72-1e7"])
+def test_boundary_log_count_stops_only_where_80_iterations_agree(grid):
+    ts = grid.tolist()
+    want = [_boundary_log_count_80(t) for t in ts]
+    assert [boundary_log_count(t) for t in ts] == want
+    # each grid holds t whose iterates never settle, which run all 80
+    assert any(t - math.log(level) != level for t, level in zip(ts, want))
+
+
 def test_epsilon_boundary_factor():
     t = 72.0
     level = boundary_log_count(t)

@@ -380,6 +380,26 @@ def test_tolerance_override():
     assert cat.verify_constant(borderline, tolerance=1e-9).verdict == "exceed"
 
 
+def test_verify_all_closed_form_unchanged_by_the_fixed_point_stop(completed, monkeypatch):
+    # boundary_log_count stops at an exact fixed point; with the plain
+    # 80-iteration loop in its place every closed-form entry is the same
+    calls = []
+
+    def boundary_log_count_80(t):
+        calls.append(t)
+        level = t - math.log(t)
+        for _ in range(80):
+            level = t - math.log(level)
+        return level
+
+    monkeypatch.setattr(cat.bounds, "boundary_log_count", boundary_log_count_80)
+    monkeypatch.setitem(cat._NAMESPACE, "boundary_log_count", boundary_log_count_80)
+    names = [e.name for e in cat.load_catalog().entries if e.kind == "closed_form"]
+    patched = cat.verify_all(names=names)
+    assert calls
+    assert patched == [completed[name] for name in sorted(names)]
+
+
 def test_verify_all_sorted_and_filterable(completed):
     names = [c.name for c in cat.verify_all(names=["stieltjes_mean_value"])]
     assert names == ["stieltjes_mean_value"]

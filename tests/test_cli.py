@@ -259,6 +259,8 @@ def test_sieve_missing_file_is_io_error(capsys, tmp_path):
     pytest.param('{"a": 1, "primes": [-7, 3], "cutoff": 100}', "-7 is not prime", id="negative-member"),
     # json raised RecursionError, a traceback and exit 1
     pytest.param("[" * 100_000 + "]" * 100_000, "nests too deeply", id="deep-nesting"),
+    # was an I/O error, exit 3
+    pytest.param('{"a": 1,', "not valid JSON", id="malformed-json"),
 ])
 def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     setfile = tmp_path / "bad.json"
@@ -443,6 +445,21 @@ TOY_ENTRY = {"name": "toy", "kind": "closed_form", "direction": "sup_le",
     {"version": "0.0.1", "entries": [{**TOY_ENTRY, "name": None}]},
     # written as is: json raised RecursionError, a traceback and exit 1
     pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    # was an I/O error, exit 3
+    pytest.param('{"version": "0.0.1", "entries": [', id="malformed-json"),
+    # read with bool(): "no" flagged the entry, the exemption criterion 9 grants
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "flagged": "no"}]},
+                 id="flagged-string"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "flagged": 0}]},
+                 id="flagged-number"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "integer_domain": "no"}]},
+                 id="integer-domain-string"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "tail_note": 5}]},
+                 id="tail-note-number"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "note": ["a"]}]},
+                 id="note-list"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "cite": True}]},
+                 id="cite-bool"),
 ])
 def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, catalog_json):
     alt = tmp_path / "cat.json"

@@ -409,6 +409,14 @@ def test_lemma22_margin_values():
         lemma22_margin(1.5)
 
 
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_lemma22_helpers_refuse_non_finite_y(y):
+    # inf raised OverflowError, and NaN failed converting to an integer
+    for helper in (lemma22_margin, b0_estimate):
+        with pytest.raises(ValueError, match="finite"):
+            helper(y)
+
+
 def test_lemma22_margin_positive_on_all_integers_to_one_million():
     from repulse.largesieve import _tau_ratio_prefix
 

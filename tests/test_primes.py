@@ -143,6 +143,26 @@ def test_segments_at_the_edges_of_the_odd_layout(lo, width):
             assert block.tolist() == oracle(seg_lo, min(seg_lo + seg, lo + width)), (seg, seg_lo)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 9973, 31607])
+@pytest.mark.parametrize("seg", [7, 64, 4096])
+def test_segments_where_a_base_square_meets_a_block_edge(p, seg):
+    # p is live in a block only when p**2 < its end: p**2 on the block's
+    # first row, on its last row, and exactly at its end
+    q = p * p
+    windows = [(q, q + seg), (max(q + 1 - seg, 2), q + 1),
+               (max(q - seg, 2), q), (max(q - seg, 2), q + seg)]
+    for lo, hi in windows:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Config, "SEGMENT_SIZE", seg)
+            blocks = list(primes._segments(lo, hi))
+        starts = range(lo, hi, seg)
+        assert len(blocks) == len(starts)
+        for seg_lo, block in zip(starts, blocks):
+            assert block.dtype == np.int64
+            want = list(sympy.primerange(seg_lo, min(seg_lo + seg, hi)))
+            assert block.tolist() == want, (lo, hi, seg_lo)
+
+
 def test_segmented_tables_are_int64():
     assert primes_up_to(2 * 10**6).dtype == np.int64
     blocks = list(primes._segments(SMALL + 1, 2 * 10**6 + 1))

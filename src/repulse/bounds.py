@@ -171,14 +171,15 @@ def boundary_log_count(t: float) -> float:
 
     The map is deterministic, so once one step returns its input every
     later step does too, and the early stop returns what 80 steps would.
-    A t whose iterates never settle (a 2-cycle of neighbouring floats, or
-    NaN) runs all 80.
+    A t whose iterates never settle (a 2-cycle of neighbouring floats)
+    runs all 80.  A t that is not finite is refused, since t = inf would
+    iterate to NaN.
 
     L is the logarithm of the prime count in the boundary case where
     the count equals e^t divided by its own logarithm.
     """
-    if not t > 1.0:
-        raise ValueError(f"t = {t} out of range: need t > 1")
+    if not 1.0 < t < math.inf:
+        raise ValueError(f"t = {t} out of range: need a finite t > 1")
     level = t - math.log(t)
     for _ in range(80):
         level, last = t - math.log(level), level
@@ -190,8 +191,8 @@ def boundary_log_count(t: float) -> float:
 def epsilon_boundary_factor(t: float) -> float:
     """exp(1/(t log t) + 1/L + 1/(2(e^t - 1))) with L = boundary_log_count(t):
     the (1 + epsilon) correction at the boundary prime count."""
-    if not t > 1.0:
-        raise ValueError(f"t = {t} out of range: need t > 1")
+    if not 1.0 < t < math.inf:
+        raise ValueError(f"t = {t} out of range: need a finite t > 1")
     level = boundary_log_count(t)
     return math.exp(
         1.0 / (t * math.log(t)) + 1.0 / level + half_inverse_expm1(t)

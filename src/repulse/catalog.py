@@ -521,6 +521,9 @@ def _complete(
     at: Optional[float],
     tolerance: float,
 ) -> ConstantCheck:
+    # a grid point may evaluate to NaN or inf; the extremum reported may not
+    if not math.isfinite(extremum):
+        raise ValueError(f"entry {entry.name!r}: the recomputed extremum {extremum} is not finite")
     if entry.direction == "sup_le":
         margin = extremum - entry.claimed
     elif entry.direction == "inf_ge":

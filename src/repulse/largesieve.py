@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -26,6 +27,16 @@ EXACT_TAU_LIMIT = 10_000       # same threshold for sums of tau(m)/m
 MAX_WINDOW = 100_000_000       # survivor counting refuses longer windows
 MAX_TAU_TABLE = 1_000_000      # cached divisor-count table size
 MAX_D_ARG = 1_000_000_000      # divisor_summatory range (hyperbola method)
+_ZERO_CLASS = frozenset((0,))  # Omega_p of a prime without assigned classes
+
+
+def _finite(name: str, value):
+    """value itself when it is a finite number; a bool (True == 1) is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 # ----- sieve systems -----
@@ -40,7 +51,7 @@ class SieveSystem:
     omega_p: Mapping[int, frozenset[int]]
 
     def __post_init__(self) -> None:
-        if self.x_len < 0:
+        if _finite("window length", self.x_len) < 0:
             raise ValueError(f"window length must be >= 0, got {self.x_len}")
         primes.check_increasing_primes(sorted(self.omega_p))
         norm = {}
@@ -50,7 +61,7 @@ class SieveSystem:
 
     def omega(self, p: int) -> frozenset[int]:
         """Residue classes sieved at p; defaults to {0} when unassigned."""
-        return self.omega_p.get(p, frozenset((0,)))
+        return self.omega_p.get(p, _ZERO_CLASS)
 
     def rho(self, p: int) -> int:
         return len(self.omega(p))
@@ -59,7 +70,7 @@ class SieveSystem:
 def from_prime_set(u: PrimeSet, start: int = 0, x_len: float = 0.0) -> SieveSystem:
     """The standard system for a set U: Omega_p = {0, a mod p} on U, {0} elsewhere.
     Built with _trusted, since u's members were proven when u was built."""
-    if x_len < 0:
+    if _finite("window length", x_len) < 0:
         raise ValueError(f"window length must be >= 0, got {x_len}")
     omega = {p: frozenset((0, u.a % p)) for p in u.primes}
     return _trusted(SieveSystem, start=start, x_len=x_len, omega_p=omega)
@@ -88,7 +99,7 @@ def g_value(n: int, sys: SieveSystem) -> Fraction:
 
 
 def _mg_top(z: float) -> int:
-    if z < 1:
+    if not 1 <= _finite("z", z):
         raise ValueError(f"mg_sum needs z >= 1, got {z}")
     top = math.floor(z)
     if top > primes.Config.SMALL_SIEVE_LIMIT:
@@ -101,16 +112,42 @@ def mg_sum(z: float, sys: SieveSystem):
 
     One sieve gives g(n) = num[n] / den[n] with both below n < 2^53, so the float
     path adds the correctly rounded g(1), g(2), ... left to right, as tests pin.
+    The weight at p is rho / (p - rho), already in lowest terms since
+    gcd(rho, p - rho) = gcd(rho, p) = 1 for 1 <= rho < p; at rho = 0 the
+    numerator is 0 and the denominator never counts.  A prime p <= sqrt(top)
+    updates its multiples by one slice and zeroes the multiples of p**2.  The
+    larger primes have no square up to top and at most one of them divides any
+    n <= top, so their rows are distinct and one gathered update is exact.
+    The exact path adds the nonzero num[n] of each distinct den[n], then sums
+    over one common denominator L, the lcm of those den[n]: the same rational
+    as adding the g(n) one by one.
     """
     top = _mg_top(z)
+    ps = primes.primes_up_to(top)
+    # rho(p) for every p <= top: one lookup per such prime, however many
+    # primes the system assigns
+    rho = np.fromiter(map(len, map(sys.omega_p.get, ps.tolist(), repeat(_ZERO_CLASS))),
+                      dtype=np.int64, count=ps.size)
+    bad = np.flatnonzero(rho >= ps)
+    if bad.size:
+        _g_factor(int(ps[bad[0]]), sys)  # raises, naming the smallest such prime
     num, den = np.ones((2, top + 1), dtype=np.int64)
-    for p in primes.primes_up_to(top).tolist():
-        g = _g_factor(p, sys)  # in lowest terms, since p is prime
-        num[p::p] *= g.numerator
-        den[p::p] *= g.denominator
+    split = int(np.searchsorted(ps, math.isqrt(top), side="right"))
+    for p, r in zip(ps[:split].tolist(), rho[:split].tolist()):
+        num[p::p] *= r
+        den[p::p] *= p - r
         num[p * p::p * p] = 0
+    large, count = ps[split:], top // ps[split:]
+    rows = primes._gathered_rows(large, large, count)
+    num[rows] *= np.repeat(rho[split:], count)
+    den[rows] *= np.repeat(large - rho[split:], count)
     if top <= EXACT_MG_LIMIT:
-        return sum(map(Fraction, num[1:].tolist(), den[1:].tolist()))
+        sums: dict[int, int] = {}
+        for n, d in zip(num[1:].tolist(), den[1:].tolist()):
+            if n:
+                sums[d] = sums.get(d, 0) + n
+        common = math.lcm(*sums)
+        return Fraction(sum(n * (common // d) for d, n in sums.items()), common)
     return float(np.cumsum(num[1:] / den[1:])[-1])
 
 
@@ -119,7 +156,8 @@ def mg_sum(z: float, sys: SieveSystem):
 
 def survivor_bound(x_len: float, w: float, sys: SieveSystem) -> float:
     """Upper bound (x_len + w^2) / M_g(w) for the survivor count at level w."""
-    if w < 1:
+    _finite("x_len", x_len)
+    if _finite("w", w) < 1:
         raise ValueError(f"survivor_bound needs w >= 1, got {w}")
     mg = mg_sum(w, sys)
     return float((Fraction(x_len) + Fraction(w) ** 2) / mg) if isinstance(mg, Fraction) \
@@ -128,6 +166,7 @@ def survivor_bound(x_len: float, w: float, sys: SieveSystem) -> float:
 
 def survivor_count(sys: SieveSystem, w: float) -> int:
     """Exact count of window integers avoiding every sieved class at primes <= w."""
+    _finite("w", w)
     length = math.floor(sys.start + sys.x_len) - sys.start
     if length <= 0:
         return 0

@@ -75,6 +75,21 @@ def _first_rows(lo, m, odd: bool):
     return (r + (r & 1) * m) // 2 if odd else r
 
 
+def _gathered_rows(first: np.ndarray, stride: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The rows first + k * stride, k < count, of every run, concatenated as
+    int32: each entry starts as its gap from the entry before, and one cumsum
+    in place turns the gaps into rows."""
+    rows = np.repeat(stride.astype(np.int32), count)
+    runs = np.flatnonzero(count)
+    if runs.size:
+        first, stride, count = first[runs], stride[runs], count[runs]
+        last = first + (count - 1) * stride
+        rows[np.cumsum(count[:-1])] = first[1:] - last[:-1]
+        rows[0] = first[0]
+        np.cumsum(rows, dtype=np.int32, out=rows)
+    return rows
+
+
 def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Primes in [lo, hi), for 2 <= lo and hi <= MAX_ENUMERATION + 1, as int64
     arrays of one SEGMENT_SIZE block each; base primes come from small_primes().

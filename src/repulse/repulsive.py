@@ -93,12 +93,35 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
 
 
 def _repulsion(elems: Sequence[int], a: int) -> RepulsionCheck:
-    # the pairwise test on distinct primes already proven
+    """The check on distinct primes already proven, in increasing order.
+
+    One byte per integer up to the largest member marks the members; each p,
+    in increasing order, reads its class a mod p with one strided view, whose
+    first member is the witness (p, q): the smallest p, then the smallest q.
+    Class 0 mod p holds only p itself, since the members are primes, so it is
+    skipped.  A set whose largest member exceeds min(len(elems)**2,
+    Config.MAX_ENUMERATION) takes the pairwise loop instead, where the array
+    would outweigh the loop or exceed the largest byte array the package makes.
+    """
+    if not elems:
+        return RepulsionCheck(ok=True)
+    top = elems[-1]
+    if top > min(len(elems) ** 2, primes.Config.MAX_ENUMERATION):
+        for p in elems:
+            target = a % p
+            for q in elems:
+                if q != p and q % p == target:
+                    return RepulsionCheck(ok=False, witness=(p, q))
+        return RepulsionCheck(ok=True)
+    member = np.zeros(top + 1, dtype=bool)
+    member[np.array(elems, dtype=np.int64)] = True
     for p in elems:
-        target = a % p
-        for q in elems:
-            if q != p and q % p == target:
-                return RepulsionCheck(ok=False, witness=(p, q))
+        r = a % p
+        if r:
+            cls = member[r::p]
+            k = int(cls.argmax())
+            if cls[k]:
+                return RepulsionCheck(ok=False, witness=(p, r + k * p))
     return RepulsionCheck(ok=True)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from . import arith, primes
 from .arith import Factorization, _integer
 from .bounds import TOTIENT_VARIANTS, VARIANTS, _check_variant_sign
-from .primes import _first_rows
+from .primes import _first_rows, _gathered_rows
 
 
 class Config:
@@ -96,21 +96,6 @@ def _row_counts(first: np.ndarray, stride: np.ndarray, size: int) -> np.ndarray:
     """The number of rows first + k * stride below size; 0 when first >= size,
     since first < stride."""
     return (size - first + stride - 1) // stride
-
-
-def _gathered_rows(first: np.ndarray, stride: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The rows first + k * stride, k < count, of every run, concatenated as
-    int32: each entry starts as its gap from the entry before, and one cumsum
-    in place turns the gaps into rows."""
-    rows = np.repeat(stride.astype(np.int32), count)
-    runs = np.flatnonzero(count)
-    if runs.size:
-        first, stride, count = first[runs], stride[runs], count[runs]
-        last = first + (count - 1) * stride
-        rows[np.cumsum(count[:-1])] = first[1:] - last[:-1]
-        rows[0] = first[0]
-        np.cumsum(rows, dtype=np.int32, out=rows)
-    return rows
 
 
 def _spans(count: np.ndarray, budget: int) -> Iterator[slice]:

@@ -272,6 +272,14 @@ def test_boundary_log_count_stops_only_where_80_iterations_agree(grid):
     assert any(t - math.log(level) != level for t, level in zip(ts, want))
 
 
+@pytest.mark.parametrize("fn", [boundary_log_count, epsilon_boundary_factor])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_boundary_helpers_refuse_non_finite_t(fn, t):
+    # t = inf used to iterate to NaN and return it
+    with pytest.raises(ValueError, match=r"^t = .* out of range: need a finite t > 1$"):
+        fn(t)
+
+
 def test_epsilon_boundary_factor():
     t = 72.0
     level = boundary_log_count(t)

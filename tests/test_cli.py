@@ -427,6 +427,18 @@ def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
     assert expression in err
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("1/boundary_log_count(t*1e308)", "t = inf out of range: need a finite t > 1"),
+    ("epsilon_boundary_factor(t*1e308)", "t = inf out of range: need a finite t > 1"),
+    ("t*1e308*1e10", "entry 'bad': the recomputed extremum inf is not finite"),
+])
+def test_verify_constants_non_finite_value_is_usage_error(capsys, tmp_path, expression, message):
+    # these printed "recomputed_sup": NaN or Infinity, which is not JSON, and exited 1
+    alt = _one_entry_catalog(tmp_path / "cat.json", expression, [1.5, 2.0])
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert (code, out, err) == (2, "", f"repulse: {message}\n")
+
+
 TOY_ENTRY = {"name": "toy", "kind": "closed_form", "direction": "sup_le",
              "expression": "1/t", "domain": [1.0, 2.0], "claimed": 1.0}
 

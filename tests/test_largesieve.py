@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -118,9 +119,83 @@ def test_mg_exact_path_matches_g_values():
         assert isinstance(got, Fraction) and got == want, (z, omega)
 
 
+# z on both sides of squares, where isqrt(z), the split between the strided
+# primes and the gathered ones, moves; 100**2 is EXACT_MG_LIMIT
+SQUARE_SPLITS = [k * k + d for k in (2, 7, 31, 100, 101) for d in (-1, 0, 1)]
+
+
+def test_mg_matches_g_values_where_the_strided_and_gathered_passes_split():
+    # classes at primes above sqrt(z) too, with rho = 0 and rho = p - 1, on
+    # the exact path (z <= EXACT_MG_LIMIT) and the float path beyond it
+    rng = random.Random(3907)
+    top = max(SQUARE_SPLITS)
+    ps = primes_up_to(top).tolist()
+    for _ in range(3):
+        omega = {p: frozenset(rng.sample(range(p), rng.choice((0, 1, 2, p - 1, rng.randrange(p)))))
+                 for p in rng.sample(ps, 60)}
+        omega[101] = frozenset()  # rho = 0, so g vanishes on the multiples of 101
+        omega[10193] = frozenset(range(1, 10193))  # rho = p - 1 at the largest p <= top
+        omega[2**64 - 59] = frozenset({0, 5})  # above int64, and above every z
+        sys = SieveSystem(start=0, x_len=top, omega_p=omega)
+        exact, left_to_right, want = Fraction(0), 0.0, {}
+        for n in range(1, top + 1):
+            g = g_value(n, sys)
+            exact += g
+            left_to_right += float(g)
+            if n in SQUARE_SPLITS:
+                want[n] = exact if n <= EXACT_MG_LIMIT else left_to_right
+        for z in SQUARE_SPLITS:
+            got = mg_sum(z + rng.random() * 0.99, sys)
+            assert type(got) is type(want[z]) and got == want[z], (z, omega)
+
+
+@pytest.mark.parametrize("omega, z, p", [
+    ({3: {0, 1}, 7: range(7), 13: range(13), 101: range(101)}, 7, 7),
+    ({3: {0, 1}, 7: range(7), 13: range(13), 101: range(101)}, EXACT_MG_LIMIT + 1, 7),
+    ({3: {0, 1}, 101: range(101), 9973: range(9973)}, EXACT_MG_LIMIT, 101),
+    ({3: {0, 1}, 101: range(101), 9973: range(9973)}, 2 * 10**4, 101),
+    ({3: {0, 1}, 9973: range(9973)}, 9973, 9973),  # above sqrt(z) only
+])
+def test_mg_names_the_smallest_prime_with_every_class_sieved(omega, z, p):
+    sys = SieveSystem(start=0, x_len=0, omega_p=omega)
+    with pytest.raises(ValueError, match=rf"^rho\({p}\) = {p} >= {p}: weight g undefined at this prime$"):
+        mg_sum(z, sys)
+    # below that prime, M_g is defined
+    assert mg_sum(p - 1, sys) == sum((g_value(n, sys) for n in range(1, p)), Fraction(0))
+
+
 def test_mg_rejects_small_z():
     with pytest.raises(ValueError):
         mg_sum(0.5, EMPTY)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mg_sum(math.inf, EMPTY), ValueError, "z must be finite, got inf"),
+    (lambda: mg_sum(-math.inf, EMPTY), ValueError, "z must be finite, got -inf"),
+    (lambda: mg_sum(math.nan, EMPTY), ValueError, "z must be finite, got nan"),
+    (lambda: mg_sum(True, U3), TypeError, "z must be a number, got True"),
+    (lambda: survivor_count(U3, math.inf), ValueError, "w must be finite, got inf"),
+    (lambda: survivor_count(U3, math.nan), ValueError, "w must be finite, got nan"),
+    (lambda: survivor_count(U3, True), TypeError, "w must be a number, got True"),
+    (lambda: survivor_bound(math.nan, 100, U3), ValueError, "x_len must be finite, got nan"),
+    (lambda: survivor_bound(math.inf, 100, U3), ValueError, "x_len must be finite, got inf"),
+    (lambda: survivor_bound(100, math.inf, U3), ValueError, "w must be finite, got inf"),
+    (lambda: survivor_bound(100, True, U3), TypeError, "w must be a number, got True"),
+    (lambda: SieveSystem(start=0, x_len=math.nan, omega_p={}), ValueError,
+     "window length must be finite, got nan"),
+    (lambda: SieveSystem(start=0, x_len=math.inf, omega_p={}), ValueError,
+     "window length must be finite, got inf"),
+    (lambda: SieveSystem(start=0, x_len=True, omega_p={}), TypeError,
+     "window length must be a number, got True"),
+    (lambda: from_prime_set(PrimeSet(a=1, primes=(3,), cutoff=10.0), 0, math.nan), ValueError,
+     "window length must be finite, got nan"),
+], ids=["mg-inf", "mg-minus-inf", "mg-nan", "mg-bool", "count-inf", "count-nan", "count-bool",
+        "bound-x-nan", "bound-x-inf", "bound-w-inf", "bound-w-bool", "system-nan", "system-inf",
+        "system-bool", "from-set-nan"])
+def test_large_sieve_sizes_are_finite_numbers(call, error, message):
+    # inf raised OverflowError, NaN a conversion error or nothing, True read as 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ----- survivor bound and count -----

@@ -163,6 +163,16 @@ def test_segments_where_a_base_square_meets_a_block_edge(p, seg):
             assert block.tolist() == want, (lo, hi, seg_lo)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 999), st.integers(1, 1000), st.integers(0, 40)),
+                max_size=30))
+def test_gathered_rows_concatenate_each_run(runs):
+    first, stride, count = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    rows = primes._gathered_rows(first, stride, count)
+    want = [f + k * s for f, s, c in runs for k in range(c)]
+    assert rows.dtype == np.int32 and rows.tolist() == want
+
+
 def test_segmented_tables_are_int64():
     assert primes_up_to(2 * 10**6).dtype == np.int64
     blocks = list(primes._segments(SMALL + 1, 2 * 10**6 + 1))

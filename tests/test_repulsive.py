@@ -12,6 +12,8 @@ from repulse.arith import euler_phi, factor
 from repulse.primes import iter_primes
 from repulse.repulsive import (
     PrimeSet,
+    RepulsionCheck,
+    _repulsion,
     greedy_construct,
     is_self_repulsive,
     set_of_integer,
@@ -45,6 +47,46 @@ def test_repulsion_is_about_distinct_pairs():
     # p = q pairs never count: {2} stays 2-self-repulsive even though 2 ≡ 2 ≡ 0 (mod 2).
     assert is_self_repulsive([2], 2).ok
     assert is_self_repulsive([5], 5).ok
+
+
+def pairwise_repulsion(elems, a):
+    # the pairwise loop _repulsion ran before it read classes of a membership array
+    for p in elems:
+        target = a % p
+        for q in elems:
+            if q != p and q % p == target:
+                return RepulsionCheck(ok=False, witness=(p, q))
+    return RepulsionCheck(ok=True)
+
+
+ORACLE_A = [-3, -1, 0, 1, 2, 7, 10**9 + 7, -10**12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # few members below 3000: mostly the pairwise path (max > len**2)
+    st.lists(st.sampled_from(primes.primes_up_to(3000).tolist()), max_size=12),
+    # many members below 200: mostly the membership array
+    st.lists(st.sampled_from(primes.primes_up_to(200).tolist()), min_size=8, max_size=40),
+), st.sampled_from(ORACLE_A))
+def test_repulsion_matches_pairwise_oracle(members, a):
+    elems = sorted(set(members))
+    assert _repulsion(elems, a) == pairwise_repulsion(elems, a)
+    assert is_self_repulsive(members, a) == pairwise_repulsion(elems, a)
+
+
+@pytest.mark.parametrize("a", [-2, -1, 1, 2])
+def test_repulsion_matches_pairwise_oracle_on_greedy_sets(a):
+    u = greedy_construct(2e5, a, 3)
+    assert u.primes[-1] <= len(u.primes) ** 2  # the membership-array path
+    assert _repulsion(u.primes, a) == pairwise_repulsion(u.primes, a) == RepulsionCheck(ok=True)
+    # each prime greedy left out, added back, breaks repulsion somewhere
+    chosen = set(u.primes)
+    left_out = [p for p in iter_primes(3, 200_001) if p not in chosen]
+    for extra in (left_out[0], left_out[len(left_out) // 2], left_out[-1]):
+        elems = sorted(chosen | {extra})
+        got = _repulsion(elems, a)
+        assert not got.ok and got == pairwise_repulsion(elems, a), extra
 
 
 # ----- set_of_integer -----

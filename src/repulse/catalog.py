@@ -99,8 +99,8 @@ def compile_expression(text: str) -> Callable[[float], float]:
     else, or an expression nested too deeply to parse or compile, raises
     ValueError.  Integer literals are compiled as floats, so a
     power such as 9**9**9 overflows instead of being computed exactly.  An
-    overflow, a division by zero, a non-real value or a bad call during
-    evaluation raises ValueError naming the expression and t.
+    overflow, a division by zero, a non-real value, a bad call or a ValueError
+    during evaluation raises ValueError naming the expression and t.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -140,7 +140,7 @@ def compile_expression(text: str) -> Callable[[float], float]:
     def fn(t: float) -> float:
         try:
             return float(expr(t))
-        except (ArithmeticError, TypeError) as exc:
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise ValueError(f"expression {text!r} fails at t = {t}: {exc}") from None
 
     fn.__name__ = f"expr_{abs(hash(text)) % 10**8}"
@@ -482,7 +482,13 @@ def verify_constant(
         sup, at = evaluator(entry)
         return _complete(entry, sup, at, tolerance)
 
-    fn = compile_expression(entry.expression)
+    expr = compile_expression(entry.expression)
+
+    def fn(t: float) -> float:  # a catalog file holds many entries; name the one that fails
+        try:
+            return expr(t)
+        except ValueError as exc:
+            raise ValueError(f"entry {entry.name!r}: {exc}") from None
 
     if entry.kind in ("arithmetic", "value"):
         val = fn(2.0)

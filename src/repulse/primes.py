@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -21,6 +22,17 @@ class Config:
 # Sorenson & Webster, Math. Comp. 86, 2017).  Base 41 would extend it to psi_13.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_LIMIT = 318665857834031151167461
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: any integer type passes through operator.index, but a
+    bool (True == 1) or a float (1.0 == 1) is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ----- cached small sieve -----
@@ -67,12 +79,12 @@ def smallest_prime_factor() -> np.ndarray:
     return _spf_cache
 
 
-def _first_rows(lo, m, odd: bool):
-    """The first row whose n is a multiple of m, for an int or an int64 array m
-    (odd in the odd layout, where row k holds lo + 2k, so k = r / 2 mod m for
-    r = -lo mod m: r / 2 when r is even, (r + m) / 2 when r is odd)."""
+def _first_rows(lo, m):
+    """The first row whose n is a multiple of m, for an odd int or int64 array m,
+    where row k holds lo + 2k: k = r / 2 mod m for r = -lo mod m, so r / 2
+    when r is even and (r + m) / 2 when r is odd."""
     r = -lo % m
-    return (r + (r & 1) * m) // 2 if odd else r
+    return (r + (r & 1) * m) // 2
 
 
 def _gathered_rows(first: np.ndarray, stride: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -106,7 +118,7 @@ def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
         first, end = seg_lo | 1, min(seg_lo + Config.SEGMENT_SIZE, hi)
         flags = np.ones((end - first + 1) // 2, dtype=bool)
         live = base[:int(np.searchsorted(base, math.isqrt(end - 1), side="right"))]
-        rows = np.maximum(_first_rows(first, live, odd=True), (live * live - first) // 2)
+        rows = np.maximum(_first_rows(first, live), (live * live - first) // 2)
         for f, p in zip(rows.tolist(), live.tolist()):
             flags[f::p] = False
         seg = np.flatnonzero(flags).astype(np.int64) * 2 + first
@@ -115,6 +127,7 @@ def _segments(lo: int, hi: int) -> Iterator[np.ndarray]:
 
 def primes_up_to(n: int) -> np.ndarray:
     """Sorted int64 array of all primes p <= n."""
+    n = _integer("n", n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
     if n <= Config.SMALL_SIEVE_LIMIT:
@@ -142,6 +155,7 @@ def is_prime(n: int) -> bool:
     The answer is proven for every n below MR_LIMIT; from there on it
     would not be, so a larger n raises ValueError.
     """
+    n = _integer("n", n)
     if n < 2:
         return False
     if n <= Config.SMALL_SIEVE_LIMIT:

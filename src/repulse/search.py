@@ -9,26 +9,18 @@ divisibility audits (the classical composite-totient-divisor question and
 its unitary analogue) and the constructor for the known family built from
 Fermat primes.
 
-A scan sieves its variant over every n; an audit sieves its variant over the
-odd n only, since parity settles the even n in closed form.  A scan of psi/+1
-or sigma*/+1, where m = 1 holds exactly on the primes and the prime powers,
-takes the factorization and class of each such hit from the column and one
-map of the proper prime powers in range; only its other hits are factored.
+Every table holds the odd n only; parity rules out each even n but the powers
+of 2, which each block tests apart (see _block_hits).  A scan of psi/+1 or
+sigma*/+1, where m = 1 holds exactly on the primes and the prime powers, takes
+the factorization and class of each such hit from the column and one map of
+the proper prime powers in range; only its other hits are factored.
 
 Scans and audits share one block loop: a worker sieves a block and returns only
 its hits, so the table dies in the worker and at most `jobs` tables are live.
 
 A block's cost follows the rows its base primes touch, not how many primes
-there are.  The first row of every prime and of every square comes from one
-numpy expression.  A prime with at least 256 multiples in the block updates
-them by strided slices.  The others, which touch a few rows each, are
-gathered into int32 row lists and applied with ufunc.at.  The rows where
-p**2 | n then get the exact power.  The prime left over above sqrt(hi - 1)
-is applied with plain in-place ufuncs, no mask, and the hit test divides only
-the rows that can hit: m = 1, or m >= 2, which needs n / phi(n) >= 2 for phi.
-
-The sieve keeps n, phi and phi* as int32, since none of them exceeds
-n <= Config.MAX_SCAN_LIMIT < 2**31; psi and sigma* exceed n and stay int64.
+there are, and n, phi and phi* are int32 (see build_table); the hit test
+divides only the rows that can hit (see _hit_arrays).
 """
 
 from __future__ import annotations
@@ -80,11 +72,7 @@ _GATHER_BELOW = 256
 
 @dataclass(frozen=True)
 class BlockTable:
-    """One variant's values on a block; row i is n[i], values[i] is f(n[i]).
-
-    Rows run over every n in [lo, hi) (n = lo + i) or, in the odd layout,
-    over the odd n only (n = lo + 2i).
-    """
+    """One variant's values on a block; row i is n[i], values[i] is f(n[i])."""
 
     lo: int
     hi: int
@@ -108,15 +96,15 @@ def _spans(count: np.ndarray, budget: int) -> Iterator[slice]:
         yield slice(a, b)
 
 
-def build_table(lo: int, hi: int, variant: str, odd: bool = False) -> BlockTable:
-    """Sieve one variant, phi, phi*, psi or sigma*, on [lo, hi), over every n
-    or (odd) the odd n only.
+def build_table(lo: int, hi: int, variant: str) -> BlockTable:
+    """Sieve one variant, phi, phi*, psi or sigma*, on the odd n in [lo, hi),
+    for an odd lo.
 
-    Row i is n = lo + step*i, step 1 or 2, so the multiples of an m prime to
-    the step sit m rows apart from _first_rows(lo, m, odd), which numpy gives
-    for every base prime p <= sqrt(hi - 1) and every p**2 at once; the odd
-    layout skips p = 2.  The base primes update their rows in three passes,
-    so a block's cost follows the rows the primes touch, not their number:
+    Row i is n = lo + 2i, so the multiples of an odd m sit m rows apart from
+    _first_rows(lo, m), which numpy gives for every odd base prime
+    p <= sqrt(hi - 1) and every p**2 at once.  The base primes update their
+    rows in three passes, so a block's cost follows the rows the primes
+    touch, not their number:
     - strided: a prime with at least _GATHER_BELOW multiples in the table
       (p <= rows // _GATHER_BELOW, so p <= 1024 at 2**18 rows) multiplies its
       multiples in place by p and f(p), one slice each;
@@ -145,23 +133,19 @@ def build_table(lo: int, hi: int, variant: str, odd: bool = False) -> BlockTable
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not 2 <= lo < hi:
-        raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
+    if not (2 <= lo < hi and lo % 2):  # the rows are the odd n
+        raise ValueError(f"need an odd lo with 2 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > Config.MAX_SCAN_LIMIT:
         raise ValueError(f"range end {hi - 1} exceeds limit {Config.MAX_SCAN_LIMIT}")
-    if odd and lo % 2 == 0:
-        raise ValueError(f"the odd layout needs an odd lo, got {lo}")
     offset, power = _MULTIPLICATIVE[variant]
-    n = np.arange(lo, hi, 2 if odd else 1, dtype=np.int32)
+    n = np.arange(lo, hi, 2, dtype=np.int32)
     size = n.size
     done = np.ones(size, dtype=np.int32)  # the part of n factored so far
     values = np.ones(size, dtype=np.int64 if offset == 1 else np.int32)
-    base = primes.primes_up_to(math.isqrt(hi - 1))
-    if odd:
-        base = base[base > 2]
+    base = primes.primes_up_to(math.isqrt(hi - 1))[1:]  # the odd primes
 
     # strided pass: a prime with at least _GATHER_BELOW multiples updates them by scalars
-    first = _first_rows(lo, base, odd)
+    first = _first_rows(lo, base)
     split = int(np.searchsorted(base, size // _GATHER_BELOW, side="right"))
     for p, f in zip(base[:split].tolist(), first[:split].tolist()):
         s = slice(f, None, p)
@@ -182,14 +166,14 @@ def build_table(lo: int, hi: int, variant: str, odd: bool = False) -> BlockTable
     # prime powers: the rows where p**2 | n, strided or gathered by the same
     # rule, get d = p**(e-1), then f(p) out and f(p**e) in
     squares = base * base
-    first = _first_rows(lo, squares, odd)
+    first = _first_rows(lo, squares)
     split = int(np.searchsorted(squares, size // _GATHER_BELOW, side="right"))
     for p, f in zip(base[:split].tolist(), first[:split].tolist()):
         q = p * p
         s = slice(f, None, q)
         d = np.full(len(range(f, size, q)), p, dtype=np.int32)
         pk = q * p
-        while pk < hi and (fk := _first_rows(lo, pk, odd)) < size:
+        while pk < hi and (fk := _first_rows(lo, pk)) < size:
             d[(fk - f) // q::pk // q] *= p
             pk *= p
         done[s] *= d
@@ -319,21 +303,33 @@ def _hit_arrays(tbl: BlockTable, variant: str, sign: int,
     return hit[keep], m[keep]
 
 
-def _block_hits(a: int, b: int, variant: str, sign: int, min_m: int,
-                odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The hits (n, m) of one block's table, which dies here."""
-    tbl = build_table(a, b, variant, odd)
-    hit, m = _hit_arrays(tbl, variant, sign, min_m)
-    return tbl.n[hit], m
+def _block_hits(a: int, b: int, variant: str, sign: int,
+                min_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hits (n, m) with n in [a, b), in n order: the odd n from one block
+    table, which dies here, and the powers of 2.  No other even n solves any of
+    the four equations: an odd p**e || n makes f(p**e) = p**(e-1) (p -+ 1) or
+    p**e -+ 1 even, so f(n) is even while n + sign is odd (Lehmer, Bull. AMS
+    38, 1932, for phi)."""
+    odd = (build_table(a | 1, b, variant) if a | 1 < b  # else [a, b) is one even n
+           else BlockTable(a, b, *np.empty((2, 0), dtype=np.int32)))
+    hit, ms = _hit_arrays(odd, variant, sign, min_m)
+    ns = odd.n[hit]
+    power = _MULTIPLICATIVE[variant][1]  # f(2**k) = power(2, 2**(k-1)), k >= 1
+    twos = 1 << np.arange((a - 1).bit_length(), (b - 1).bit_length(), dtype=np.int64)
+    hit, m = _hit_arrays(BlockTable(a, b, twos, power(2, twos // 2)), variant, sign, min_m)
+    if not hit.size:  # the odd hits, not copied
+        return ns, ms
+    at = np.searchsorted(ns, twos[hit])
+    return np.insert(ns, at, twos[hit]), np.insert(ms, at, m)
 
 
-def _hit_stream(lo: int, hi: int, jobs: int, variant: str, sign: int, min_m: int,
-                odd: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the _block_hits of the Config.BLOCK_SIZE-row blocks covering the inclusive
-    range [lo, hi], in order.  jobs is capped at the CPU count and the number of
-    blocks; a single worker runs without a pool."""
-    starts = range(lo, hi + 1, Config.BLOCK_SIZE * (2 if odd else 1))
-    blocks = ((a, min(a + starts.step, hi + 1), variant, sign, min_m, odd) for a in starts)
+def _hit_stream(lo: int, hi: int, jobs: int, variant: str, sign: int,
+                min_m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the _block_hits of the blocks of 2 * Config.BLOCK_SIZE integers covering
+    the inclusive range [lo, hi], in order.  jobs is capped at the CPU count and
+    the number of blocks; a single worker runs without a pool."""
+    starts = range(lo, hi + 1, 2 * Config.BLOCK_SIZE)
+    blocks = ((a, min(a + starts.step, hi + 1), variant, sign, min_m) for a in starts)
     jobs = min(jobs, os.cpu_count() or 1, len(starts))
     if jobs <= 1:
         yield from itertools.starmap(_block_hits, blocks)
@@ -414,16 +410,11 @@ class AuditReport:
 
 
 def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
-    """The variant/-1 equation with min_m = 1, sieved over the odd n only.
+    """The variant/-1 equation with min_m = 1 over [2, hi].
 
     The family is the m = 1 hits: phi(n) = n - 1 iff n is prime, and
     phi*(n) = n - 1 iff n is a prime power, since (a - 1)(b - 1) < ab - 1 for
-    coprime a, b >= 2.  Parity settles the even n (Lehmer, Bull. AMS 38,
-    1932): for even n >= 4, phi(n) is even and n - 1 is odd, so only n = 2
-    has phi(n) | n - 1; for even n that is not a power of 2, phi*(n) has the
-    even factor p^e - 1 of an odd prime power p^e || n, and n - 1 is odd, so
-    only the powers of 2 have phi*(n) | n - 1.  Both are family members,
-    counted in closed form; the table reads only the variant's own column.
+    coprime a, b >= 2.  The table reads only the variant's own column.
     """
     hi, jobs = _integer("hi", hi), _check_jobs(jobs)
     if hi > Config.MAX_SCAN_LIMIT:
@@ -432,13 +423,11 @@ def _divisor_audit(conjecture: str, hi: int, jobs: int) -> AuditReport:
     variant = "phi" if conjecture == "lehmer" else "uphi"
     hits: list[Solution] = []
     family_count = 0
-    if hi >= 2:
-        family_count = 1 if variant == "phi" else hi.bit_length() - 1  # 2, or 2, 4, ..., <= hi
-        for ns, ms in _hit_stream(3, hi, jobs, variant, -1, 1, odd=True):
-            one = ms == 1
-            family_count += int(np.count_nonzero(one))
-            for n, m in zip(ns[~one].tolist(), ms[~one].tolist()):
-                hits.append(_make_solution(n, m, variant, -1))
+    for ns, ms in _hit_stream(2, hi, jobs, variant, -1, 1):
+        one = ms == 1
+        family_count += int(np.count_nonzero(one))
+        for n, m in zip(ns[~one].tolist(), ms[~one].tolist()):
+            hits.append(_make_solution(n, m, variant, -1))
     family = "prime" if conjecture == "lehmer" else "prime-power"
     return AuditReport(conjecture=conjecture, hi=hi, counterexamples=tuple(hits),
                        family=family, family_count=family_count,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from repulse import primes
+from repulse import arith, primes, search
 
 _ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
 
@@ -45,6 +45,27 @@ def prime_power_mask():
         return out
 
     return mask
+
+
+@pytest.fixture(scope="session")
+def full_table():
+    """table(hi, variant): a BlockTable of every n in [2, hi], hi >= 3, built
+    from the odd-row table by f(2**k * r) = f(2**k) * f(r) for odd r, with
+    f(2**k) from arith.profile."""
+
+    def table(hi: int, variant: str) -> search.BlockTable:
+        odd = search.build_table(3, hi + 1, variant)
+        f = np.ones(hi + 1, dtype=odd.values.dtype)  # f at the odd r; f(1) = 1
+        f[3::2] = odd.values
+        values = np.empty_like(f)
+        q = 1
+        while q <= hi:
+            values[q::2 * q] = getattr(arith.profile(arith.factor(q)), variant) * f[1:hi // q + 1:2]
+            q *= 2
+        return search.BlockTable(lo=2, hi=hi + 1, n=np.arange(2, hi + 1, dtype=np.int32),
+                                 values=values[2:])
+
+    return table
 
 
 @pytest.fixture

@@ -31,9 +31,10 @@ LIMIT_LARGE = 10**7
 
 
 @pytest.fixture(scope="module")
-def table_1e6():
-    # the variant tables on [2, 1e6] that criteria 3 and 10 read
-    return {v: search.build_table(2, LIMIT_SMALL + 1, v) for v in ("phi", "psi", "usigma")}
+def table_1e6(full_table):
+    # the variant tables on [2, 1e6] that criteria 3 and 10 read, every n
+    # built from the odd-row table
+    return {v: full_table(LIMIT_SMALL, v) for v in ("phi", "psi", "usigma")}
 
 
 def squarefree_mask(hi: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -153,8 +154,8 @@ def test_scan_jobs_do_not_change_bytes(capsys):
     assert len(out1.splitlines()) == 3245  # prime count below 30000
 
 
-# stdout sha256 of `scan --min-m 1 --to 300000`, which spans two 2**18-row
-# blocks; a change to the sieve or the writers must leave these bytes alone
+# stdout sha256 of `scan --min-m 1 --to 300000`; a change to the sieve or the
+# writers must leave these bytes alone
 SCAN_300000_SHA256 = {
     ("phi", "+1"): "eb24f1c1820c5dd4a07442187d9d9bfedcd3a5c3291fac6a7a319fb865b881b5",
     ("phi", "-1"): "c08b7efaaeffab27471b13724baec54fa4c3946380d6057f970f7177fe77e87f",
@@ -169,6 +170,18 @@ SCAN_300000_SHA256 = {
 
 @pytest.mark.parametrize("variant, sign", list(SCAN_300000_SHA256))
 def test_scan_bytes_are_pinned(capsys, variant, sign):
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "scan", "--variant", variant, "--sign", sign,
+                           "--min-m", "1", "--to", "300000", "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_300000_SHA256[variant, sign]
+
+
+@pytest.mark.parametrize("variant, sign", list(SCAN_300000_SHA256))
+def test_scan_bytes_are_pinned_across_blocks(capsys, monkeypatch, variant, sign):
+    # the range fits in one block of 2**18 odd rows; in blocks of 2**10 it
+    # crosses 146 block edges, which must not move a byte at either jobs
+    monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
     for jobs in ("1", "2"):
         code, out, _ = run(capsys, "scan", "--variant", variant, "--sign", sign,
                            "--min-m", "1", "--to", "300000", "--jobs", jobs)
@@ -433,14 +446,30 @@ def test_verify_constants_arithmetic_error_is_usage_error(capsys, tmp_path,
     ("t*1e308*1e10", "entry 'bad': the recomputed extremum inf is not finite"),
 ])
 def test_verify_constants_non_finite_value_is_usage_error(capsys, tmp_path, expression, message):
-    # these printed "recomputed_sup": NaN or Infinity, which is not JSON, and exited 1
+    # these printed "recomputed_sup": NaN or Infinity, which is not JSON, and exited 1.
+    # A message raised inside the expression comes with the entry, the
+    # expression and the first t whose t*1e308 overflows
     alt = _one_entry_catalog(tmp_path / "cat.json", expression, [1.5, 2.0])
     code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
-    assert (code, out, err) == (2, "", f"repulse: {message}\n")
+    want = re.escape(message)
+    if message.startswith("t = inf"):
+        want = rf"entry 'bad': expression {re.escape(repr(expression))} fails at t = [\d.]+: {want}"
+    assert (code, out) == (2, "") and re.fullmatch(rf"repulse: {want}\n", err), err
 
 
 TOY_ENTRY = {"name": "toy", "kind": "closed_form", "direction": "sup_le",
              "expression": "1/t", "domain": [1.0, 2.0], "claimed": 1.0}
+
+
+def test_verify_constants_expression_error_names_its_entry(capsys, tmp_path):
+    # of a file's entries, the one whose expression raises a ValueError is named
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [
+        TOY_ENTRY, {**TOY_ENTRY, "name": "overflows", "domain": [1.5, 2.0],
+                    "expression": "1/boundary_log_count(t*1e308)"}]}))
+    code, out, err = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("repulse: entry 'overflows': expression '1/boundary_log_count(t*1e308)'")
 
 
 @pytest.mark.parametrize("catalog_json", [

@@ -31,6 +31,23 @@ def test_is_prime_examples():
     assert not is_prime(2**61 + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: is_prime(True),  # was False
+    lambda: is_prime(7.0),  # was a numpy IndexError
+    lambda: primes_up_to(10.5),  # floored
+    lambda: primes_up_to(True),  # was empty
+], ids=["is_prime(True)", "is_prime(7.0)", "primes_up_to(10.5)", "primes_up_to(True)"])
+def test_bools_and_floats_are_refused(call):
+    with pytest.raises(TypeError, match=r"^n must be an integer, got \S+$"):
+        call()
+
+
+def test_numpy_integers_pass():
+    assert is_prime(np.int64(7)) and not is_prime(np.uint8(9))
+    assert primes_up_to(np.int32(30)).tolist() == primes_up_to(30).tolist()
+    assert primes_up_to(np.int64(SMALL + 100)).tolist() == primes_up_to(SMALL + 100).tolist()
+
+
 @pytest.mark.parametrize("lo, hi", [(-3, 3000), (SMALL - 2000, SMALL + 2000)])
 def test_is_prime_matches_sympy_across_the_sieve_edge(lo, hi):
     # n <= SMALL reads the cached sieve, larger n run Miller-Rabin

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repulse import arith, bounds, primes, search
@@ -46,20 +46,18 @@ DTYPES = {"phi": np.int32, "uphi": np.int32, "psi": np.int64, "usigma": np.int64
 
 
 def assert_table_matches_oracle(lo: int, hi: int) -> None:
-    # oracle equivalence: each variant's table, on every n and, from the first
-    # odd n, on the odd n only, must reproduce a direct per-integer loop
-    want = [naive_profile_row(n) for n in range(lo, hi)]
+    # oracle equivalence: each variant's table on the odd n of [lo, hi) must
+    # reproduce a direct per-integer loop
+    start = lo | 1
+    if start >= hi:
+        return
+    want = [naive_profile_row(n) for n in range(start, hi, 2)]
     for i, variant in enumerate(VARIANTS):
-        for odd in (False, True):
-            start = lo | 1 if odd else lo
-            if start >= hi:
-                continue
-            tbl = build_table(start, hi, variant, odd)
-            assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant]
-            assert tbl.n.tolist() == list(range(start, hi, 2 if odd else 1))
-            for n, value in zip(tbl.n.tolist(), tbl.values.tolist()):
-                assert value == want[n - lo][i], \
-                    f"{variant} (odd={odd}) disagrees at n={n} in [{lo}, {hi})"
+        tbl = build_table(start, hi, variant)
+        assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant]
+        assert tbl.n.tolist() == list(range(start, hi, 2))
+        for n, value, row in zip(tbl.n.tolist(), tbl.values.tolist(), want):
+            assert value == row[i], f"{variant} disagrees at n={n} in [{lo}, {hi})"
 
 
 def test_block_table_matches_naive_loop():
@@ -100,7 +98,7 @@ def assert_rows_match_oracle(tbl: BlockTable, variant: str, rows) -> None:
             f"{variant} disagrees at n={n} in [{tbl.lo}, {tbl.hi})"
 
 
-@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("whole", [False, True])
 @pytest.mark.parametrize("center, multiple", [
     (1031 * 1033, 1031 * 1033),  # two primes above the gather threshold share a row
     (937 * 1031 * 1033, 1031 * 1033),  # ... beside a strided prime
@@ -109,17 +107,18 @@ def assert_rows_match_oracle(tbl: BlockTable, variant: str, rows) -> None:
     (31607**2, 31607**2),  # of the largest base prime below sqrt(1e9)
     (search.Config.MAX_SCAN_LIMIT, None),  # the block ending at the scan limit
 ])
-def test_full_block_rows_match_oracle(center, multiple, odd):
-    # one Config.BLOCK_SIZE-row table in each layout, as scans and audits build
-    # it, so the gather threshold is the one they use; its edges, the rows
-    # that `multiple` divides and a seeded sample of the rest against the oracle
-    size = search.Config.BLOCK_SIZE
+def test_full_block_rows_match_oracle(center, multiple, whole):
+    # one block's table as scans and audits build it, so the gather threshold
+    # is the one they use: a whole block of Config.BLOCK_SIZE odd rows, or one
+    # cut to Config.BLOCK_SIZE integers, as a range's last block can be, which
+    # gathers the primes above 512 rather than 1024; its edges, the rows that
+    # `multiple` divides and a seeded sample of the rest against the oracle
+    size = search.Config.BLOCK_SIZE // (1 if whole else 2)
     assert 1031 > size // search._GATHER_BELOW  # 1031 and 1033 are gathered
-    step = 2 if odd else 1
-    lo = min(center - step * (size // 2), search.Config.MAX_SCAN_LIMIT + 1 - step * size)
+    lo = min(center - size, search.Config.MAX_SCAN_LIMIT + 1 - 2 * size)
     rows = {0, 1, 2, size - 3, size - 2, size - 1, *np.random.default_rng(center).integers(0, size, 200)}
     for variant in VARIANTS:
-        tbl = build_table(lo, lo + step * size, variant, odd)
+        tbl = build_table(lo, lo + 2 * size, variant)
         assert tbl.n.size == size and int(tbl.n[0]) == lo
         if multiple is not None:
             hits = np.flatnonzero(tbl.n % multiple == 0)
@@ -131,28 +130,35 @@ def test_full_block_rows_match_oracle(center, multiple, odd):
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 1031 * 1033, 1031**2, 3**18, 2**29, 31607**2,
                                search.Config.MAX_SCAN_LIMIT - 1, search.Config.MAX_SCAN_LIMIT])
 def test_one_row_tables_match_oracle(n):
-    for odd in (False, True) if n % 2 else (False,):
+    # an odd n gets a one-row table; an even n gets none, and the block of n
+    # alone finds its hits among the powers of 2 or not at all
+    if n % 2:
         for variant in VARIANTS:
-            assert_rows_match_oracle(build_table(n, n + 1, variant, odd), variant, [0])
+            assert_rows_match_oracle(build_table(n, n + 1, variant), variant, [0])
+        return
+    f = arith.factor(n)
+    for variant, sign in VARIANT_SIGNS:
+        m = bounds.solve_m(f, variant, sign)
+        ns, ms = search._block_hits(n, n + 1, variant, sign, 1)
+        assert list(zip(ns.tolist(), ms.tolist())) == ([] if m is None else [(n, m)])
 
 
-@pytest.mark.parametrize("variant, odd, fraction", [
-    ("phi", True, 0.75),  # the audit's table: n and phi, 8 bytes a row
-    ("psi", False, 0.6),  # the scan's table: n and psi, 12 bytes a row
+@pytest.mark.parametrize("variant, fraction", [
+    ("phi", 0.75),  # the audit's table: n and phi, 8 bytes a row
+    ("psi", 0.6),  # the psi scan's table: n and psi, 12 bytes a row
 ])
-def test_block_scratch_is_a_fraction_of_its_columns(variant, odd, fraction):
+def test_block_scratch_is_a_fraction_of_its_columns(variant, fraction):
     # beside the columns it returns, a block holds the factored part (4 bytes
     # a row), then either a gathered span of at most about size // 8 rows (8
     # bytes each) or, for a +1 column, the leftover's rem > 1 (1 byte a row);
     # tracemalloc sees numpy's buffers.  One Config.BLOCK_SIZE-row block
     # ending at the scan limit
     size = search.Config.BLOCK_SIZE
-    step = 2 if odd else 1
-    lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
-    build_table(lo, lo + step * size, variant, odd)  # warm the prime cache
+    lo = search.Config.MAX_SCAN_LIMIT + 1 - 2 * size
+    build_table(lo, lo + 2 * size, variant)  # warm the prime cache
     tracemalloc.start()
     try:
-        tbl = build_table(lo, lo + step * size, variant, odd)
+        tbl = build_table(lo, lo + 2 * size, variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -162,14 +168,14 @@ def test_block_scratch_is_a_fraction_of_its_columns(variant, odd, fraction):
 
 def test_block_hits_peak_is_at_most_four_columns():
     # the table holds n and phi; the hit test divides only the candidate rows,
-    # so it adds no second full-size array.  One Config.BLOCK_SIZE-row phi block
-    # in the odd layout, ending at the scan limit, as the audit builds it
+    # so it adds no second full-size array.  One Config.BLOCK_SIZE-row phi
+    # block, ending at the scan limit, as the audit builds it
     size = search.Config.BLOCK_SIZE
     lo = search.Config.MAX_SCAN_LIMIT + 1 - 2 * size
-    search._block_hits(lo, lo + 2 * size, "phi", -1, 1, True)  # warm the prime cache
+    search._block_hits(lo, lo + 2 * size, "phi", -1, 1)  # warm the prime cache
     tracemalloc.start()
     try:
-        search._block_hits(lo, lo + 2 * size, "phi", -1, 1, True)
+        search._block_hits(lo, lo + 2 * size, "phi", -1, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,9 +191,9 @@ def test_first_rows_in_the_odd_layout_stay_exact_for_large_moduli(lo):
     m = rng.integers(1, 5 * 10**9, 2000) * 2 + 1
     m = np.concatenate([[3, 5, 2**31 - 1, 10**10 - 1], m])
     want = [(-lo * pow(2, -1, q)) % q for q in m.tolist()]
-    got = search._first_rows(lo, m, True)
+    got = search._first_rows(lo, m)
     assert got.dtype == np.int64 and got.tolist() == want
-    assert [search._first_rows(lo, q, True) for q in m[:50].tolist()] == want[:50]
+    assert [search._first_rows(lo, q) for q in m[:50].tolist()] == want[:50]
 
 
 def test_block_table_dtypes_have_headroom():
@@ -195,7 +201,7 @@ def test_block_table_dtypes_have_headroom():
     # holds them up to the scan limit; psi and sigma* exceed n
     assert search.Config.MAX_SCAN_LIMIT + 1 < 2**31
     for variant in VARIANTS:
-        tbl = build_table(2, 1000, variant)
+        tbl = build_table(3, 1000, variant)
         assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant], variant
 
 
@@ -217,13 +223,13 @@ def test_hit_stream_caps_jobs_at_cpu_count(monkeypatch):
     # a huge --jobs must not start a thread per block; output is unchanged
     workers = spy_on_pools(monkeypatch)
     monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
-    many = list(search._hit_stream(3, 20_000, 10**6, "phi", -1, 1, odd=True))
+    many = list(search._hit_stream(2, 20_000, 10**6, "phi", -1, 1))
     assert workers == [2]
-    one = list(search._hit_stream(3, 20_000, 1, "phi", -1, 1, odd=True))
+    one = list(search._hit_stream(2, 20_000, 1, "phi", -1, 1))
     assert len(many) == len(one) > 2
     for (n_a, m_a), (n_b, m_b) in zip(many, one):
         assert np.array_equal(n_a, n_b) and np.array_equal(m_a, m_b)
-    assert np.concatenate([n for n, _ in one]).tolist() == primes.primes_up_to(20_000)[1:].tolist()
+    assert np.concatenate([n for n, _ in one]).tolist() == primes.primes_up_to(20_000).tolist()
 
 
 def test_one_block_range_starts_no_pool(monkeypatch):
@@ -231,16 +237,16 @@ def test_one_block_range_starts_no_pool(monkeypatch):
     assert len(list(scan(2, 1000, "psi", 1, jobs=2))) == 168
     assert workers == []
     monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
-    assert len(list(scan(2, 10 * 1024 + 1, "psi", 1, jobs=2))) == 1254  # 10 blocks
+    assert len(list(scan(2, 10 * 1024 + 1, "psi", 1, jobs=2))) == 1254  # 5 blocks
     assert workers == [2]
 
 
 def test_block_table_block_boundaries():
     # splitting a range into blocks must not change any variant's table
     for variant in VARIANTS:
-        whole = build_table(2, 5000, variant)
-        a = build_table(2, 2048, variant)
-        b = build_table(2048, 5000, variant)
+        whole = build_table(3, 5001, variant)
+        a = build_table(3, 2049, variant)
+        b = build_table(2049, 5001, variant)
         for field in ("n", "values"):
             merged = np.concatenate([getattr(a, field), getattr(b, field)])
             assert np.array_equal(merged, getattr(whole, field)), (variant, field)
@@ -250,25 +256,24 @@ def test_block_table_validation():
     with pytest.raises(ValueError):
         build_table(1, 10, "phi")
     with pytest.raises(ValueError):
-        build_table(10, 10, "phi")
+        build_table(11, 11, "phi")
     with pytest.raises(ValueError):
-        build_table(2, search.Config.MAX_SCAN_LIMIT + 2, "phi")
-    with pytest.raises(ValueError):
-        build_table(10, 20, "phi", odd=True)  # the odd layout starts at an odd n
+        build_table(3, search.Config.MAX_SCAN_LIMIT + 2, "phi")
+    with pytest.raises(ValueError, match="odd lo"):
+        build_table(10, 20, "phi")  # tables hold the odd n only
     for name in ("sigma", "omega", "n1", "PHI", ("phi",), None):
         with pytest.raises(ValueError, match="unknown variant"):
-            build_table(2, 10, name)
+            build_table(3, 10, name)
 
 
-def test_audit_family_identities(prime_power_mask):
+def test_audit_family_identities(prime_power_mask, full_table):
     # the audits take their family to be the m = 1 hits: phi(n) = n - 1 iff n
     # is prime, and phi*(n) = n - 1 iff n is a prime power
     hi = 10**5
     n = np.arange(2, hi + 1)
     prime = np.isin(n, primes.primes_up_to(hi))
-    assert np.array_equal(build_table(2, hi + 1, "phi").values == n - 1, prime)
-    assert np.array_equal(build_table(2, hi + 1, "uphi").values == n - 1,
-                          prime_power_mask(hi)[2:])
+    assert np.array_equal(full_table(hi, "phi").values == n - 1, prime)
+    assert np.array_equal(full_table(hi, "uphi").values == n - 1, prime_power_mask(hi)[2:])
 
 
 # ----- scan: classical and unitary totient -----
@@ -611,7 +616,7 @@ def test_audit_report_json():
 
 
 def audit_by_full_table(full: BlockTable, hi: int) -> tuple[int, list[int]]:
-    # the audit counted over every n in [2, hi] of a full table starting at 2
+    # the audit counted over every n in [2, hi] of a table of every n from 2
     n = full.n[:max(hi - 1, 0)]
     den = full.values[:n.size]
     divides = (n - 1) % den == 0
@@ -620,10 +625,10 @@ def audit_by_full_table(full: BlockTable, hi: int) -> tuple[int, list[int]]:
 
 
 @pytest.mark.parametrize("audit, variant", [(lehmer_audit, "phi"), (subbarao_audit, "uphi")])
-def test_odd_only_audits_match_full_table(audit, variant):
-    # the audits sieve odd n only and add n = 2, or the powers of 2, in
-    # closed form; the parity argument must hold for every hi
-    full = build_table(2, 10**6 + 1, variant)
+def test_odd_only_audits_match_full_table(audit, variant, full_table):
+    # the audits sieve odd n only and test the powers of 2 apart; the parity
+    # argument must hold for every hi
+    full = full_table(10**6, variant)
     for hi in [*range(1, 301), 10**6]:
         rep = audit(hi)
         want = audit_by_full_table(full, hi)
@@ -634,15 +639,15 @@ def test_queries_sieve_only_the_columns_they_read(monkeypatch):
     calls = []
     real = search.build_table
 
-    def spy(lo, hi, variant, odd=False):
-        calls.append((variant, odd))
-        return real(lo, hi, variant, odd)
+    def spy(lo, hi, variant):
+        calls.append(variant)
+        return real(lo, hi, variant)
 
     monkeypatch.setattr(search, "build_table", spy)
     lehmer_audit(1000)
     subbarao_audit(1000)
     list(scan(2, 1000, "psi", 1))
-    assert calls == [("phi", True), ("uphi", True), ("psi", False)]
+    assert calls == ["phi", "uphi", "psi"]
 
 
 
@@ -652,9 +657,9 @@ def test_queries_sieve_only_the_columns_they_read(monkeypatch):
 VARIANT_SIGNS = list(itertools.product(VARIANTS, (1, -1)))
 
 
-def one_table_hits(lo, hi, variant, sign, min_m, odd=False) -> list[tuple[int, int]]:
-    # the oracle of the block loop: _hit_arrays on one table over [lo, hi]
-    tbl = build_table(lo, hi + 1, variant, odd)
+def one_table_hits(lo, hi, variant, sign, min_m) -> list[tuple[int, int]]:
+    # _hit_arrays on one table over the odd n in [lo, hi], for an odd lo
+    tbl = build_table(lo, hi + 1, variant)
     hit, m = search._hit_arrays(tbl, variant, sign, min_m)
     return list(zip(tbl.n[hit].tolist(), m.tolist()))
 
@@ -671,20 +676,20 @@ def full_row_hits(tbl: BlockTable, variant: str, sign: int, min_m: int):
     return hit[m >= min_m], m[m >= min_m]
 
 
-@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("whole", [False, True])
 @pytest.mark.parametrize("lo, fermat", [
     (3, [15, 255]),  # m = 2 for phi/+1
     (65535 - 2048, [65535]),
-    (None, []),  # the Config.BLOCK_SIZE-row block ending at the scan limit
+    (None, []),  # the block ending at the scan limit
 ])
-def test_hit_arrays_match_full_row_remainders(lo, fermat, odd):
-    step = 2 if odd else 1
+def test_hit_arrays_match_full_row_remainders(lo, fermat, whole):
+    # a whole block's table, or one cut to half its rows
     if lo is None:
-        size = search.Config.BLOCK_SIZE
-        lo = search.Config.MAX_SCAN_LIMIT + 1 - step * size
+        size = search.Config.BLOCK_SIZE // (1 if whole else 2)
+        lo = search.Config.MAX_SCAN_LIMIT + 1 - 2 * size
     else:
-        size = 4096
-    tables = {v: build_table(lo, lo + step * size, v, odd) for v in VARIANTS}
+        size = 4096 // (1 if whole else 2)
+    tables = {v: build_table(lo, lo + 2 * size, v) for v in VARIANTS}
     before = {v: (tbl.n.copy(), tbl.values.copy()) for v, tbl in tables.items()}
     phi = tables["phi"]
     assert np.any((phi.values < phi.n + 1) & (phi.n + 1 < 2 * phi.values))  # den < num < 2 den
@@ -701,15 +706,36 @@ def test_hit_arrays_match_full_row_remainders(lo, fermat, odd):
     assert {n: 2 for n in fermat}.items() <= dict(zip(phi.n[hit].tolist(), m.tolist())).items()
 
 
+EDGE = 2 * 1024  # the integers of one block at Config.BLOCK_SIZE = 2**10
+POWER_OF_2 = st.integers(1, 29).map(lambda k: 1 << k)
+ANY_N = st.integers(2, search.Config.MAX_SCAN_LIMIT - 3 * EDGE)
+EVEN_N = ANY_N.map(lambda n: n & ~1)
+WIDTH = st.integers(0, 3 * EDGE) | st.sampled_from([EDGE - 1, EDGE, 2 * EDGE - 1, 2 * EDGE])
+WINDOWS = st.one_of(
+    st.tuples(ANY_N | EVEN_N | POWER_OF_2, WIDTH).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(EVEN_N | POWER_OF_2, WIDTH).map(lambda t: (max(t[0] - t[1], 2), t[0])),
+)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(lo=st.integers(2, 10**9 - 8 * 1024), width=st.integers(0, 8 * 1024),
-       min_m=st.integers(1, 3), jobs=st.sampled_from([1, 2]))
-def test_scans_across_blocks_match_one_table(lo, width, min_m, jobs):
+@given(window=WINDOWS, jobs=st.sampled_from([1, 2]))
+@example(window=(2, 2), jobs=1)
+@example(window=(3, 3), jobs=1)
+@example(window=(4, 4), jobs=1)
+def test_scans_across_blocks_match_per_n_oracle(window, jobs):
+    # every variant/sign pair against solve_m on each n's factorization, on
+    # windows that start or end at an even n, a power of 2 or (WIDTH) a block
+    # edge, so the even-n rule and the block loop meet the scalar path
+    lo, hi = window
+    factors = [arith.factor(n) for n in range(lo, hi + 1)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search.Config, "BLOCK_SIZE", 1 << 10)
         for variant, sign in VARIANT_SIGNS:
-            got = pairs(scan(lo, lo + width, variant, sign, min_m, jobs=jobs))
-            assert got == one_table_hits(lo, lo + width, variant, sign, min_m), (variant, sign)
+            want = [(f.value, m) for f in factors
+                    if (m := bounds.solve_m(f, variant, sign)) is not None]
+            for min_m in (1, 2, 3):
+                got = pairs(scan(lo, hi, variant, sign, min_m, jobs=jobs))
+                assert got == [(n, m) for n, m in want if m >= min_m], (variant, sign, min_m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -720,7 +746,7 @@ def test_audits_across_blocks_match_one_table(hi, jobs):
         for audit, variant, even_members in ((lehmer_audit, "phi", 1),
                                              (subbarao_audit, "uphi", hi.bit_length() - 1)):
             rep = audit(hi, jobs=jobs)
-            hits = one_table_hits(3, hi, variant, -1, 1, odd=True)
+            hits = one_table_hits(3, hi, variant, -1, 1)
             assert rep.family_count == even_members + sum(m == 1 for _, m in hits)
             assert pairs(rep.counterexamples) == [(n, m) for n, m in hits if m != 1]
 
@@ -731,13 +757,13 @@ def test_audit_memory_does_not_grow_with_the_range(monkeypatch, jobs):
     # whether the two workers peak at the same moment, which can only raise
     # it, so the long range keeps its best of 3 runs, the short its worst of 16
     monkeypatch.setattr(search.Config, "BLOCK_SIZE", 1 << 12)
-    span = 2 * search.Config.BLOCK_SIZE  # the audit sieves odd n only
+    span = 2 * search.Config.BLOCK_SIZE  # a block's integers
     lehmer_audit(100, jobs=jobs)  # warm the prime cache
 
     def peak(blocks: int) -> int:
         tracemalloc.start()
         try:
-            lehmer_audit(2 + blocks * span, jobs=jobs)
+            lehmer_audit(1 + blocks * span, jobs=jobs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

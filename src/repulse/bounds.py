@@ -92,8 +92,8 @@ def _correction_quotient(t: float, c: float, widened: bool) -> float:
     c*loglog t to c*(log t + loglog t).
     """
     t = float(t)
-    if not t > _E:
-        raise ValueError(f"t = {t} out of range: need t > e")
+    if not _E < t < math.inf:
+        raise ValueError(f"t = {t} out of range: need a finite t > e")
     lt = math.log(t)
     llt = math.log(lt)
     extra = (lt + llt) if widened else llt
@@ -136,8 +136,8 @@ def delta1(t: float) -> float:
     with g the Euler-Mascheroni constant.
     """
     t = float(t)
-    if not t > _E:
-        raise ValueError(f"t = {t} out of range: need t > e")
+    if not _E < t < math.inf:
+        raise ValueError(f"t = {t} out of range: need a finite t > e")
     lt = math.log(t)
     gap = lt - EIGHT_GAMMA
     d1 = 1.0 - abs(gap) / t
@@ -160,8 +160,8 @@ def exp_correction(t: float) -> float:
     """exp(1/(t log t) + 1/t + 1/(2(e^t - 1))): the exact factor that
     widens a truncated prime product to its Mertens envelope.  Its
     exponent is below 1.233076/t for t >= 73."""
-    if not t > 1.0:
-        raise ValueError(f"t = {t} out of range: need t > 1")
+    if not 1.0 < t < math.inf:
+        raise ValueError(f"t = {t} out of range: need a finite t > 1")
     return math.exp(1.0 / (t * math.log(t)) + 1.0 / t + half_inverse_expm1(t))
 
 
@@ -225,11 +225,11 @@ def thm21_pi_bound(x: float, p_u: float, proof_form: bool = False) -> float:
     `proof_form` replaces the 1/2 coefficient of 1/log^3 x by 0.49.
     """
     x = float(x)
-    if p_u <= 0.0:
-        raise ValueError(f"p_u = {p_u} out of range: need p_u > 0")
+    if not 0.0 < p_u < math.inf:
+        raise ValueError(f"p_u = {p_u} out of range: need a finite p_u > 0")
     t = math.log(x)
-    if not t > _E:
-        raise ValueError(f"x = {x} out of range: need x > e^e")
+    if not _E < t < math.inf:
+        raise ValueError(f"x = {x} out of range: need a finite x > e^e")
     u = math.log(t)
     f1 = 1.0 - (u - EIGHT_GAMMA) / t
     f2 = 1.0 - u / t
@@ -248,10 +248,8 @@ def pu_upper_eq32(x: float, theta_u: float) -> float:
     Requires theta_u > e so the iterated logarithm is positive."""
     x = float(x)
     theta_u = float(theta_u)
-    if not theta_u > _E:
-        raise ValueError(
-            f"theta_u = {theta_u} out of range: need theta_u > e"
-        )
+    if not _E < theta_u < math.inf:
+        raise ValueError(f"theta_u = {theta_u} out of range: need a finite theta_u > e")
     t = math.log(x)
     return EIGHT_EGAMMA * delta(t) * math.log(math.log(theta_u))
 
@@ -325,7 +323,7 @@ def chain_grid_report(
         raise ValueError(f"unknown chain {correction!r}/{kind!r}")
     if lo is None:
         lo = CHAIN_CUTOFFS[correction]
-    if not (lo < hi and points >= 2):
+    if not (0.0 < lo < hi < math.inf and points >= 2):
         raise ValueError(f"bad grid [{lo}, {hi}] with {points} points")
     grid = np.geomspace(lo, hi, points)
     grid[0], grid[-1] = lo, hi
@@ -483,7 +481,7 @@ def theorem_check(
     ValueError.
     """
     _check_variant_sign(variant, sign)
-    if m < 1:
+    if _integer("m", m) < 1:
         raise ValueError(f"m = {m} out of range: need m >= 1")
     n = f.value
     if verify_solution:

@@ -7,6 +7,10 @@ recomputes the supremum (or infimum, per the entry's direction) on a
 refining grid with golden-section polish and compares it against the
 claim within an absolute tolerance.
 
+An entry is a ``ConstantCheck``, whose dataclass fields are the one field
+list its JSON form walks both ways; building an entry checks every input
+field, so a malformed entry is refused, by name, before any is verified.
+
 Entry kinds:
 
 * ``closed_form``: expression scanned over its domain;
@@ -29,7 +33,7 @@ import ast
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -149,9 +153,32 @@ def compile_expression(text: str) -> Callable[[float], float]:
 
 # ----- entry / record type -----
 
+_KINDS = ("closed_form", "arithmetic", "value", "custom", "axiom")
+
+# margin of a recomputed extremum x against the claim c, per direction
+_MARGINS: Dict[str, Callable[[float, float], float]] = {
+    "sup_le": lambda x, c: x - c,
+    "inf_ge": lambda x, c: c - x,
+    "two_sided": lambda x, c: abs(x - c),
+}
+
+
+def _float(value: float) -> float:
+    """float(value), or NaN for an int beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class ConstantCheck:
     """One catalog entry, optionally completed with verification data.
+
+    Building an entry, from a file or from code, checks each input field
+    and stores the claim and domain ends as floats; a malformed entry raises
+    ValueError naming it.  The result fields, which verification overwrites,
+    are not checked.
 
     `recomputed_sup` holds the recomputed extremum in the direction of
     the claim (a supremum for sup_le entries, an infimum for inf_ge
@@ -161,9 +188,9 @@ class ConstantCheck:
     """
 
     name: str
-    kind: str  # closed_form | arithmetic | value | custom | axiom
-    direction: str  # sup_le | inf_ge | two_sided
-    expression: str
+    kind: str  # one of _KINDS
+    direction: str  # one of _MARGINS
+    expression: str  # the evaluator's name for a custom entry
     domain_lo: float
     domain_hi: float  # math.inf for unbounded entries
     claimed: float
@@ -178,85 +205,73 @@ class ConstantCheck:
     margin: Optional[float] = None
     verdict: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        name = self.name
+        if not isinstance(name, str):
+            raise ValueError(f"catalog entry {name!r} has a name that is not a string")
+
+        def require(ok: bool, key: str, must: str) -> None:
+            if not ok:
+                raise ValueError(f"catalog entry {name!r} has {key} {getattr(self, key)!r}; "
+                                 f"it must be {must}")
+        for key in ("kind", "direction", "expression"):
+            require(isinstance(getattr(self, key), str), key, "a string")
+        for key, known in (("kind", _KINDS), ("direction", tuple(_MARGINS))):
+            require(getattr(self, key) in known, key, f"one of {', '.join(known)}")
+        require(self.kind != "custom" or self.expression in _CUSTOM_EVALUATORS, "expression",
+                "a custom evaluator's name")
+        for key in ("flagged", "integer_domain"):
+            require(type(getattr(self, key)) is bool, key, "true or false")
+        for key in ("tail_note", "note", "cite"):
+            require(isinstance(getattr(self, key), (str, type(None))), key, "a string or null")
+        for key in ("claimed", "domain_lo", "domain_hi"):
+            value = getattr(self, key)
+            require(isinstance(value, (int, float)) and type(value) is not bool, key, "a number")
+            object.__setattr__(self, key, _float(value))  # so a JSON 6 prints as 6.0
+        lo, hi = self.domain_lo, self.domain_hi
+        if not (math.isfinite(self.claimed) and math.isfinite(lo)) or math.isnan(hi):
+            raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
+        if hi < lo:
+            raise ValueError(f"catalog entry {name!r} has its domain in reverse, [{lo}, {hi}]")
+        if math.isfinite(hi) and hi - lo == math.inf:  # the scan's linspace would overflow
+            raise ValueError(f"catalog entry {name!r} has its domain [{lo}, {hi}] wider "
+                             "than float range")
+        scan_hi = self.scan_hi
+        require(scan_hi is None or (type(scan_hi) in (int, float)
+                                    and math.isfinite(_float(scan_hi)) and scan_hi > lo),
+                "scan_hi", "null or a finite number above the domain start")
+
     def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "direction": self.direction,
-            "expression": self.expression,
-            "domain": [
-                self.domain_lo,
-                None if math.isinf(self.domain_hi) else self.domain_hi,
-            ],
-            "claimed": self.claimed,
-            "flagged": self.flagged,
-            "integer_domain": self.integer_domain,
-            "scan_hi": self.scan_hi,
-            "tail_note": self.tail_note,
-            "note": self.note,
-            "cite": self.cite,
-            "recomputed_sup": self.recomputed_sup,
-            "sup_at": self.sup_at,
-            "margin": self.margin,
-            "verdict": self.verdict,
-        }
+        """The entry as a JSON object, its fields in order, with domain_lo and
+        domain_hi joined into the pair `domain` (null for an unbounded end)."""
+        out = {}
+        for key in _FIELDS:
+            if key == "domain_lo":
+                out["domain"] = [self.domain_lo,
+                                 None if math.isinf(self.domain_hi) else self.domain_hi]
+            elif key != "domain_hi":
+                out[key] = getattr(self, key)
         return out
 
     @staticmethod
     def from_json(d: dict) -> "ConstantCheck":
-        """Build an entry from its JSON object; a malformed one raises ValueError.
-
-        A null or infinite upper domain end means an unbounded domain; a
-        non-finite claim or lower end, or a NaN upper end, is malformed, and
-        so is a scan_hi that is neither null nor a finite number above the
-        lower end.
-        """
+        """Build an entry from the fields its JSON object holds, with the pair
+        `domain` for domain_lo and domain_hi (null: unbounded); a malformed
+        object raises ValueError."""
         name = d.get("name") if isinstance(d, dict) else d
         try:
             lo, hi = d["domain"]
-            entry = ConstantCheck(
-                name=d["name"],
-                kind=d["kind"],
-                direction=d["direction"],
-                expression=d["expression"],
-                domain_lo=float(lo),
-                domain_hi=math.inf if hi is None else float(hi),
-                claimed=float(d["claimed"]),
-                flagged=d.get("flagged", False),
-                integer_domain=d.get("integer_domain", False),
-                scan_hi=d.get("scan_hi"),
-                tail_note=d.get("tail_note"),
-                note=d.get("note"),
-                cite=d.get("cite"),
-                recomputed_sup=d.get("recomputed_sup"),
-                sup_at=d.get("sup_at"),
-                margin=d.get("margin"),
-                verdict=d.get("verdict"),
-            )
+            given = {key: d[key] for key in _FIELDS if key in d}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"catalog entry {name!r} is malformed: {exc!r}") from None
-        if not isinstance(entry.name, str):
-            raise ValueError(f"catalog entry {name!r} has a name that is not a string")
-        for key in ("flagged", "integer_domain"):
-            if type(getattr(entry, key)) is not bool:
-                raise ValueError(f"catalog entry {name!r} has {key} {d[key]!r}; "
-                                 "it must be true or false")
-        for key in ("tail_note", "note", "cite"):
-            if not isinstance(getattr(entry, key), (str, type(None))):
-                raise ValueError(f"catalog entry {name!r} has {key} {d[key]!r}; "
-                                 "it must be a string or null")
-        finite = math.isfinite(entry.claimed) and math.isfinite(entry.domain_lo)
-        if not finite or math.isnan(entry.domain_hi):
-            raise ValueError(f"catalog entry {name!r} has a non-finite claim or domain end")
-        if entry.domain_hi < entry.domain_lo:
-            raise ValueError(f"catalog entry {name!r} has its domain in reverse, "
-                             f"[{entry.domain_lo}, {entry.domain_hi}]")
-        scan_hi = entry.scan_hi
-        if scan_hi is not None and not (type(scan_hi) in (int, float) and math.isfinite(scan_hi)
-                                        and scan_hi > entry.domain_lo):
-            raise ValueError(f"catalog entry {name!r} has scan_hi {scan_hi!r}; "
-                             "it must be null or a finite number above the domain start")
-        return entry
+        given.update(domain_lo=lo, domain_hi=math.inf if hi is None else hi)
+        try:
+            return ConstantCheck(**given)
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"catalog entry {name!r} is malformed: {exc!r}") from None
+
+
+_FIELDS = tuple(f.name for f in fields(ConstantCheck))
 
 
 @dataclass(frozen=True)
@@ -317,6 +332,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
         raise ValueError("catalog must be a JSON object with an 'entries' list")
     if "version" not in raw:
         raise ValueError("catalog has no 'version' key")
+    if not isinstance(raw["version"], str):
+        raise ValueError(f"catalog has version {raw['version']!r}; it must be a string")
     entries = tuple(ConstantCheck.from_json(d) for d in raw["entries"])
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
@@ -429,7 +446,8 @@ def _scan_extremum(
 ) -> Tuple[float, float]:
     """Grid scan plus golden polish; returns (extremum, location)."""
     if lo > 0.0 and hi / lo > 100.0:
-        grid = np.geomspace(lo, hi, points)
+        with np.errstate(over="ignore"):  # logspace's power overflows on the way to hi near 1e308
+            grid = np.geomspace(lo, hi, points)
     else:
         grid = np.linspace(lo, hi, points)
     grid[0], grid[-1] = lo, hi
@@ -467,24 +485,20 @@ def verify_constant(
     the verdict unverifiable-by-grid.
     """
     if entry.kind == "axiom":
-        return replace(
-            entry,
-            recomputed_sup=entry.claimed,
-            sup_at=None,
-            margin=0.0,
-            verdict="pass",
-        )
+        return replace(entry, recomputed_sup=entry.claimed, sup_at=None, margin=0.0,
+                       verdict="pass")
 
     if entry.kind == "custom":
-        evaluator = _CUSTOM_EVALUATORS.get(entry.expression)
-        if evaluator is None:
-            raise ValueError(f"unknown custom evaluator {entry.expression!r}")
-        sup, at = evaluator(entry)
+        sup, at = _CUSTOM_EVALUATORS[entry.expression](entry)
         return _complete(entry, sup, at, tolerance)
 
-    expr = compile_expression(entry.expression)
+    # a catalog file holds many entries; name the one whose expression fails
+    try:
+        expr = compile_expression(entry.expression)
+    except ValueError as exc:
+        raise ValueError(f"entry {entry.name!r}: {exc}") from None
 
-    def fn(t: float) -> float:  # a catalog file holds many entries; name the one that fails
+    def fn(t: float) -> float:
         try:
             return expr(t)
         except ValueError as exc:
@@ -497,9 +511,6 @@ def verify_constant(
                 f"entry {entry.name!r} is {entry.kind} but its expression depends on t"
             )
         return _complete(entry, val, None, tolerance)
-
-    if entry.kind != "closed_form":
-        raise ValueError(f"unknown entry kind {entry.kind!r}")
 
     maximize = entry.direction == "sup_le"
     unbounded = math.isinf(entry.domain_hi)
@@ -521,31 +532,14 @@ def verify_constant(
     return _complete(entry, best, at, tolerance)
 
 
-def _complete(
-    entry: ConstantCheck,
-    extremum: float,
-    at: Optional[float],
-    tolerance: float,
-) -> ConstantCheck:
+def _complete(entry: ConstantCheck, extremum: float, at: Optional[float],
+              tolerance: float) -> ConstantCheck:
     # a grid point may evaluate to NaN or inf; the extremum reported may not
     if not math.isfinite(extremum):
         raise ValueError(f"entry {entry.name!r}: the recomputed extremum {extremum} is not finite")
-    if entry.direction == "sup_le":
-        margin = extremum - entry.claimed
-    elif entry.direction == "inf_ge":
-        margin = entry.claimed - extremum
-    elif entry.direction == "two_sided":
-        margin = abs(extremum - entry.claimed)
-    else:
-        raise ValueError(f"unknown direction {entry.direction!r}")
-    verdict = "pass" if margin <= tolerance else "exceed"
-    return replace(
-        entry,
-        recomputed_sup=extremum,
-        sup_at=at,
-        margin=margin,
-        verdict=verdict,
-    )
+    margin = _MARGINS[entry.direction](extremum, entry.claimed)
+    return replace(entry, recomputed_sup=extremum, sup_at=at, margin=margin,
+                   verdict="pass" if margin <= tolerance else "exceed")
 
 
 def verify_all(

@@ -294,7 +294,7 @@ def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
 
 def divisor_summatory(w: int) -> int:
     """D(w) = sum of tau(n) for n <= w, by the hyperbola method."""
-    if w < 1:
+    if primes._integer("w", w) < 1:
         raise ValueError(f"need w >= 1, got {w}")
     if w > MAX_D_ARG:
         raise ValueError(f"divisor_summatory supports w <= {MAX_D_ARG}")

@@ -49,8 +49,6 @@ class Config:
     # fixed per-block work costs about 30% more, at 2**20 about 10% more.
     BLOCK_SIZE = 1 << 18
     MAX_SCAN_LIMIT = 10**9        # scans refuse ranges beyond this
-    MIN_M_TOTIENT = 2             # default multiplier floor (m = 1 means n prime)
-    MIN_M_UNIT_OFFSET = 1         # psi / unitary sigma: m = 1 is the prime-power family
 
 
 KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
@@ -129,7 +127,9 @@ def build_table(lo: int, hi: int, variant: str) -> BlockTable:
     - the leftover's rem + 1 and _hit_arrays' n + sign are at most
       10**9 + 1 < 2**31 - 1, and _hit_arrays forms no product.
     psi(n) reaches about 3.75n below 10**9 (psi(892371480) > 2**31), so psi
-    and sigma*, the variants with offset +1, need int64.
+    and sigma*, the variants with offset +1, need int64.  Every ufunc.at
+    operand has its array's dtype: a factor of another dtype takes numpy off
+    the fast path of ufunc.at, about 30 times slower on an int64 column.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -160,7 +160,7 @@ def build_table(lo: int, hi: int, variant: str) -> BlockTable:
         ps = np.repeat(large[span].astype(np.int32), count[span])
         np.multiply.at(done, rows, ps)
         ps += offset  # now f(p)
-        np.multiply.at(values, rows, ps)
+        np.multiply.at(values, rows, ps.astype(values.dtype, copy=False))
         del rows, ps  # before the next span's
 
     # prime powers: the rows where p**2 | n, strided or gathered by the same
@@ -189,8 +189,8 @@ def build_table(lo: int, hi: int, variant: str) -> BlockTable:
             np.multiply(d, ps, out=d, where=deeper)
             np.floor_divide(t, ps, out=t, where=deeper)
         np.multiply.at(done, rows, d)
-        np.floor_divide.at(values, rows, ps + offset)
-        np.multiply.at(values, rows, power(ps, d))
+        np.floor_divide.at(values, rows, (ps + offset).astype(values.dtype, copy=False))
+        np.multiply.at(values, rows, power(ps, d).astype(values.dtype, copy=False))
 
     rem = np.floor_divide(n, done, out=done)  # 1, or the one prime factor above sqrt(hi - 1)
     if offset == 1:
@@ -268,10 +268,11 @@ def _make_solution(n: int, m: int, variant: str, sign: int,
 
 
 def default_min_m(variant: str) -> int:
-    """Default multiplier floor: 2 for the totients, 1 for psi / unitary sigma."""
+    """Default multiplier floor: 2 for the totients, where m = 1 means n is
+    prime; 1 for psi and unitary sigma, where m = 1 is the prime-power family."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    return Config.MIN_M_TOTIENT if variant in TOTIENT_VARIANTS else Config.MIN_M_UNIT_OFFSET
+    return 2 if variant in TOTIENT_VARIANTS else 1
 
 
 def _hit_arrays(tbl: BlockTable, variant: str, sign: int,

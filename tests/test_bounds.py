@@ -47,6 +47,7 @@ from repulse.bounds import (
     thm21_pi_bound,
 )
 from repulse.catalog import load_catalog
+from repulse.largesieve import divisor_summatory
 from repulse.search import scan
 
 G = EULER_GAMMA
@@ -278,6 +279,36 @@ def test_boundary_helpers_refuse_non_finite_t(fn, t):
     # t = inf used to iterate to NaN and return it
     with pytest.raises(ValueError, match=r"^t = .* out of range: need a finite t > 1$"):
         fn(t)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: delta(math.inf), ValueError, id="delta"),
+    pytest.param(lambda: delta_psi(math.inf), ValueError, id="delta_psi"),
+    pytest.param(lambda: eta(math.inf), ValueError, id="eta"),
+    pytest.param(lambda: eta_psi(math.inf), ValueError, id="eta_psi"),
+    pytest.param(lambda: delta1(math.inf), ValueError, id="delta1"),
+    pytest.param(lambda: exp_correction(math.inf), ValueError, id="exp_correction"),
+    pytest.param(lambda: thm21_pi_bound(math.inf, 1.0), ValueError, id="thm21_pi_bound-x"),
+    pytest.param(lambda: thm21_pi_bound(1e6, math.inf), ValueError, id="thm21_pi_bound-p_u"),
+    pytest.param(lambda: thm21_pi_bound(1e6, math.nan), ValueError, id="thm21_pi_bound-p_u-nan"),
+    pytest.param(lambda: pu_upper_eq32(math.inf, 50.0), ValueError, id="pu_upper_eq32-x"),
+    pytest.param(lambda: pu_upper_eq32(1e6, math.inf), ValueError, id="pu_upper_eq32-theta_u"),
+    pytest.param(lambda: chain_margin(math.inf), ValueError, id="chain_margin"),
+    pytest.param(lambda: chain_grid_report(hi=math.inf), ValueError, id="chain_grid_report-hi"),
+    pytest.param(lambda: chain_grid_report(lo=math.nan), ValueError, id="chain_grid_report-lo"),
+    pytest.param(lambda: theorem_check(factor(17), True, "phi", -1), TypeError,
+                 id="theorem_check-bool"),
+    pytest.param(lambda: theorem_check(factor(15), 2.0, "phi", 1), TypeError,
+                 id="theorem_check-float"),
+    pytest.param(lambda: divisor_summatory(True), TypeError, id="divisor_summatory-bool"),
+    pytest.param(lambda: divisor_summatory(10.5), TypeError, id="divisor_summatory-float"),
+])
+def test_non_finite_and_non_integer_inputs_are_refused(call, error):
+    # each returned NaN, 1.0, a status or a count, or raised a numpy
+    # RuntimeWarning or a TypeError from deep inside; now one line at the door
+    with pytest.raises(error) as info:
+        call()
+    assert "\n" not in str(info.value) and str(info.value)
 
 
 def test_epsilon_boundary_factor():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repulse import cli, largesieve, search
 
@@ -501,6 +504,37 @@ def test_verify_constants_expression_error_names_its_entry(capsys, tmp_path):
                  id="note-list"),
     pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "cite": True}]},
                  id="cite-bool"),
+    # compile() raised a TypeError traceback
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "expression": 5}]},
+                 id="expression-number"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "expression": None}]},
+                 id="expression-null"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "expression": ["1/t"]}]},
+                 id="expression-list"),
+    # an axiom with an unknown direction verified as pass, exit 0
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "kind": "axiom",
+                                                   "direction": "bogus"}]},
+                 id="axiom-direction-bogus"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "kind": "bogus"}]},
+                 id="kind-bogus"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "kind": "custom"}]},
+                 id="custom-evaluator-unknown"),
+    # a string or a bool claim was read with float()
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": "1.0"}]},
+                 id="claimed-string"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": True}]},
+                 id="claimed-bool"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": ["1", 2.0]}]},
+                 id="domain-string"),
+    # an OverflowError that did not name the entry
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "claimed": 10**400}]},
+                 id="claimed-beyond-float"),
+    # the scan's linspace overflowed to NaN grid points
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [-1e308, 1e308]}]},
+                 id="domain-wider-than-float-range"),
+    # the compile error did not name the entry
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "expression": "(1"}]},
+                 id="expression-syntax-error"),
 ])
 def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, catalog_json):
     alt = tmp_path / "cat.json"
@@ -512,6 +546,47 @@ def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, cat
     assert err.count("\n") == 1 and err.startswith("repulse: ")
     if isinstance(catalog_json, dict) and isinstance(catalog_json["entries"][0], dict):
         assert repr(catalog_json["entries"][0]["name"]) in err
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**400, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.sampled_from(["closed_form", "arithmetic", "value", "custom", "axiom", "sup_le",
+                     "inf_ge", "two_sided", "odd_prime_mertens_ratio", "t", "1/(t-1.5)"]),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.integers(1, 300).map(lambda depth: json.loads("[" * depth + "]" * depth)),
+)
+# a domain pair out of order, non-finite or beyond float range, or of any JSON values
+_DOMAINS = st.one_of(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.none(),
+                              min_size=2, max_size=2),
+                     st.lists(_JSON_VALUES, max_size=3))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), field=st.sampled_from([
+    "name", "kind", "direction", "expression", "domain", "claimed", "flagged",
+    "integer_domain", "scan_hi", "tail_note", "note", "cite", "verdict", "margin"]))
+def test_verify_constants_survives_any_one_bad_field(tmp_path_factory, data, field):
+    # one input field of a valid entry set to another JSON value: a number,
+    # a string, null, a list, a deep nesting, a non-finite value or a pair out
+    # of order.  The run ends with a verdict (0 or 1) or a one-line usage
+    # error naming the entry (2), never a traceback
+    value = data.draw(_DOMAINS if field == "domain" else _JSON_VALUES, label=field)
+    entry = {**TOY_ENTRY, field: value}
+    alt = tmp_path_factory.mktemp("fuzz") / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [entry]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify-constants", "--catalog", str(alt)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("repulse: ")
+        assert repr(entry["name"]) in err.getvalue()
+    else:
+        assert json.loads(out.getvalue())["name"] == entry["name"]
 
 
 def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
@@ -558,11 +633,13 @@ TOY_CATALOG = {"version": "0.0.1", "entries": [TOY_ENTRY]}
     ({**TOY_CATALOG, "entries": [{**TOY_ENTRY, "scan_hi": "a"}]}, [], "scan_hi 'a'"),
     # used to print only "repulse: version"
     ({"entries": [TOY_ENTRY]}, [], "no 'version' key"),
+    ({**TOY_CATALOG, "version": 1}, [], "version 1; it must be a string"),
     # np.geomspace used to raise a MemoryError traceback, exit 1
     (TOY_CATALOG, ["--grid", "1000000000000"], "grid must be at most 1000000 points"),
     ({**TOY_CATALOG, "default_grid": 10**12}, [], "grid must be at most 1000000 points"),
 ], ids=["grid-1", "grid-0", "default-grid-1", "tolerance-nan", "tolerance-negative",
-        "tolerance-true", "scan-hi-string", "missing-version", "grid-1e12", "default-grid-1e12"])
+        "tolerance-true", "scan-hi-string", "missing-version", "version-number", "grid-1e12",
+        "default-grid-1e12"])
 def test_verify_constants_bad_setting_is_usage_error(capsys, tmp_path, catalog_json, argv,
                                                      message):
     alt = tmp_path / "cat.json"

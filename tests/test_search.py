@@ -205,6 +205,44 @@ def test_block_table_dtypes_have_headroom():
         assert tbl.n.dtype == np.int32 and tbl.values.dtype == DTYPES[variant], variant
 
 
+class _DtypeCheckedUfunc:
+    # a numpy ufunc whose .at asserts that its operand has the array's dtype
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def at(self, a, indices, b):
+        dtype = np.asarray(b).dtype
+        assert dtype == a.dtype, (self.ufunc.__name__, a.dtype, dtype)
+        self.calls.append((self.ufunc.__name__, a.dtype))
+        self.ufunc.at(a, indices, b)
+
+
+def test_ufunc_at_operands_have_the_array_dtype(monkeypatch):
+    # a factor of another dtype takes ufunc.at off numpy's fast path: int32
+    # f(p) into the int64 psi and sigma* columns made their blocks twice as slow
+    calls = []
+
+    class DtypeCheckedNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            return _DtypeCheckedUfunc(attr, calls) if isinstance(attr, np.ufunc) else attr
+
+    lo = search.Config.MAX_SCAN_LIMIT - 2 * search.Config.BLOCK_SIZE + 1
+    hi = lo + 2 * search.Config.BLOCK_SIZE
+    want = {variant: build_table(lo, hi, variant).values for variant in VARIANTS}
+    monkeypatch.setattr(search, "np", DtypeCheckedNumpy())
+    for variant in VARIANTS:
+        calls.clear()
+        got = build_table(lo, hi, variant).values
+        assert got.dtype == want[variant].dtype and np.array_equal(got, want[variant])
+        # the gathered pass and the gathered power step both ran on the column
+        assert {name for name, dtype in calls if dtype == DTYPES[variant]} >= {
+            "multiply", "floor_divide"}, variant
+
+
 def spy_on_pools(monkeypatch) -> list[int]:
     # the max_workers of every pool the search module starts, on a 2-CPU machine
     workers = []

@@ -240,6 +240,17 @@ class ConstantCheck:
         require(scan_hi is None or (type(scan_hi) in (int, float)
                                     and math.isfinite(_float(scan_hi)) and scan_hi > lo),
                 "scan_hi", "null or a finite number above the domain start")
+        if math.isinf(hi) and self._scan_top() * _TAIL_SPAN == math.inf:
+            raise ValueError(f"catalog entry {name!r} would sample its tail past float range, "
+                             f"from {self._scan_top()}")
+
+    def _scan_top(self) -> float:
+        """Where the grid scan ends: scan_hi if given, else domain_hi, or for an
+        unbounded domain DEFAULT_SCAN_HI, raised to domain_lo when that lies above it."""
+        if self.scan_hi is not None:
+            return min(self.scan_hi, self.domain_hi)
+        return max(DEFAULT_SCAN_HI, self.domain_lo) if math.isinf(self.domain_hi) \
+            else self.domain_hi
 
     def to_json(self) -> dict:
         """The entry as a JSON object, its fields in order, with domain_lo and
@@ -517,10 +528,7 @@ def verify_constant(
     if unbounded and not entry.tail_note:
         return replace(entry, recomputed_sup=None, sup_at=None, margin=None,
                        verdict="unverifiable-by-grid")
-    scan_hi = entry.scan_hi
-    if scan_hi is None:
-        scan_hi = DEFAULT_SCAN_HI if unbounded else entry.domain_hi
-    scan_hi = min(scan_hi, entry.domain_hi)
+    scan_hi = entry._scan_top()
     best, at = _scan_extremum(fn, entry.domain_lo, scan_hi, grid, maximize)
     if unbounded:
         # declared-tail spot check: the samples join the candidate set,

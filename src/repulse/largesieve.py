@@ -20,6 +20,7 @@ import numpy as np
 from . import primes
 from .arith import _trusted, factor
 from .bounds import EULER_GAMMA
+from .primes import _finite
 from .repulsive import PrimeSet
 
 EXACT_MG_LIMIT = 10_000        # exact rational M_g up to here, floats beyond
@@ -28,15 +29,6 @@ MAX_WINDOW = 100_000_000       # survivor counting refuses longer windows
 MAX_TAU_TABLE = 1_000_000      # cached divisor-count table size
 MAX_D_ARG = 1_000_000_000      # divisor_summatory range (hyperbola method)
 _ZERO_CLASS = frozenset((0,))  # Omega_p of a prime without assigned classes
-
-
-def _finite(name: str, value):
-    """value itself when it is a finite number; a bool (True == 1) is a TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not -math.inf < value < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 # ----- sieve systems -----
@@ -252,7 +244,7 @@ def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
     may declare a larger closed-form series total via `tails` (it must dominate
     the tabulated partial sum and be finite).
     """
-    top = math.floor(x)
+    top = math.floor(_finite("x", x))
     if top < 1:
         raise ValueError(f"need x >= 1, got {x}")
     if top > primes.Config.SMALL_SIEVE_LIMIT:
@@ -303,35 +295,44 @@ def divisor_summatory(w: int) -> int:
     return 2 * int(np.sum(w // d)) - root * root
 
 
-_tau_cache: Optional[np.ndarray] = None
-_tau_ratio_cumsum: Optional[np.ndarray] = None
+_TAU_EMPTY = (np.zeros(0, dtype=np.int32), memoryview(np.zeros(0)))
+_tau_counts, _tau_sums = _TAU_EMPTY  # tau(m), and the sum of tau(k)/k for k <= m, at index m
 
 
-def _tau_table() -> np.ndarray:
-    global _tau_cache
-    if _tau_cache is None:
+def _tau_table(top: int) -> tuple[np.ndarray, memoryview]:
+    """The int32 tau(m) and the float64 prefix sums of tau(m)/m, indexed by m >= 0,
+    grown to hold index top.
+
+    A table that is too short is rebuilt with the next power of two above top
+    entries, at least 2^10 and at most MAX_TAU_TABLE + 1, so an increasing sweep
+    rebuilds it about log2 times.  Each build does the same arithmetic at any
+    size (hyperbola counts, then tau(m)/m in float64, then a left-to-right
+    cumsum), so the sum at index m is the same float whatever length the table
+    has.  The old arrays go before the new are built, and the quotients and
+    their sums are computed in place in one float64 array.
+    """
+    global _tau_counts, _tau_sums
+    if top >= len(_tau_counts):
+        if top > MAX_TAU_TABLE:
+            raise ValueError(f"tau_ratio_sum supports y <= {MAX_TAU_TABLE}")
+        _tau_counts, _tau_sums = _TAU_EMPTY
+        size = min(max(1 << top.bit_length(), 1 << 10), MAX_TAU_TABLE + 1)
         # Hyperbola identity, as in divisor_summatory: each d <= sqrt(n)
         # dividing n pairs with n/d >= d, counted once when n = d^2.
-        counts = np.zeros(MAX_TAU_TABLE + 1, dtype=np.int32)
-        for d in range(1, math.isqrt(MAX_TAU_TABLE) + 1):
+        counts = np.zeros(size, dtype=np.int32)
+        for d in range(1, math.isqrt(size - 1) + 1):
             counts[d * d::d] += 2
             counts[d * d] -= 1
-        _tau_cache = counts
-    return _tau_cache
-
-
-def _tau_ratio_prefix() -> np.ndarray:
-    global _tau_ratio_cumsum
-    if _tau_ratio_cumsum is None:
-        tau = _tau_table().astype(np.float64)
-        tau[1:] /= np.arange(1, MAX_TAU_TABLE + 1, dtype=np.float64)
-        _tau_ratio_cumsum = np.cumsum(tau)
-    return _tau_ratio_cumsum
+        ratio = np.arange(size, dtype=np.float64)
+        np.divide(counts[1:], ratio[1:], out=ratio[1:])  # float64(tau(m)) / m
+        ratio[0] = 0.0
+        _tau_counts, _tau_sums = counts, memoryview(np.cumsum(ratio, out=ratio))
+    return _tau_counts, _tau_sums
 
 
 def tau_ratio_sum(y: float):
     """Sum of tau(m)/m for m <= y; exact rational up to EXACT_TAU_LIMIT."""
-    top = math.floor(y)
+    top = math.floor(_finite("y", y))
     if top < 1:
         raise ValueError(f"need y >= 1, got {y}")
     if top <= EXACT_TAU_LIMIT:
@@ -339,21 +340,10 @@ def tau_ratio_sum(y: float):
         lcm = 1
         for m in range(2, top + 1):
             lcm = lcm * m // math.gcd(lcm, m)
-        tau = _tau_table()
+        tau = _tau_table(top)[0]
         num = sum(int(tau[m]) * (lcm // m) for m in range(1, top + 1))
         return Fraction(num, lcm)
-    if top > MAX_TAU_TABLE:
-        raise ValueError(f"tau_ratio_sum supports y <= {MAX_TAU_TABLE}")
-    return float(_tau_ratio_prefix()[top])
-
-
-def _tau_ratio_fast(y: float) -> float:
-    # Float prefix lookup; sweeps over millions of y cannot afford the
-    # exact-lcm path that tau_ratio_sum takes for small arguments.
-    top = math.floor(y)
-    if 1 <= top <= MAX_TAU_TABLE:
-        return float(_tau_ratio_prefix()[top])
-    return float(tau_ratio_sum(y))
+    return (_tau_sums if top < len(_tau_sums) else _tau_table(top)[1])[top]
 
 
 def lemma22_margin(y: float) -> float:
@@ -365,15 +355,17 @@ def lemma22_margin(y: float) -> float:
     """
     if not 2 <= y < math.inf:
         raise ValueError(f"need a finite y >= 2, got {y}")
-    s = _tau_ratio_fast(y)
+    top = math.floor(y)
+    sums = _tau_sums if top < len(_tau_sums) else _tau_table(top)[1]
     ly = math.log(y)
-    return s - (ly * ly / 2 + 2 * EULER_GAMMA * ly + 0.4)
+    return sums[top] - (ly * ly / 2 + 2 * EULER_GAMMA * ly + 0.4)
 
 
 def b0_estimate(y: int) -> float:
     """Empirical limit of sum tau(m)/m - log^2 y / 2 - 2 gamma log y as y grows."""
     if not 1000 <= y < math.inf:
         raise ValueError(f"need a finite y >= 1000, got {y}")
-    s = _tau_ratio_fast(y)
+    top = math.floor(y)
+    sums = _tau_sums if top < len(_tau_sums) else _tau_table(top)[1]
     ly = math.log(y)
-    return s - (ly * ly / 2 + 2 * EULER_GAMMA * ly)
+    return sums[top] - (ly * ly / 2 + 2 * EULER_GAMMA * ly)

@@ -35,6 +35,15 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _finite(name: str, value):
+    """value itself when it is a finite number; a bool (True == 1) is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 # ----- cached small sieve -----
 
 _flag_cache: np.ndarray | None = None

@@ -149,7 +149,7 @@ def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
     integer up to x bans the classes a mod q.  No larger prime up to x can join the result.
     """
     a, start = _integer("a", a), _integer("start", start)
-    if not (x >= start >= 2):
+    if not (primes._finite("x", x) >= start >= 2):
         raise ValueError(f"need x >= start >= 2, got x={x}, start={start}")
     candidates = primes.iter_primes(start, math.floor(x) + 1)  # refuses x before np.zeros
     banned = np.zeros(math.floor(x) + 1, dtype=bool)

@@ -535,6 +535,13 @@ def test_verify_constants_expression_error_names_its_entry(capsys, tmp_path):
     # the compile error did not name the entry
     pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "expression": "(1"}]},
                  id="expression-syntax-error"),
+    # scan_hi * 1e3 overflowed: NaN tail samples and a RuntimeWarning
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [1.0, None],
+                                                   "scan_hi": 1e306, "tail_note": "decreasing"}]},
+                 id="tail-past-float-range"),
+    pytest.param({"version": "0.0.1", "entries": [{**TOY_ENTRY, "domain": [1e306, None],
+                                                   "tail_note": "decreasing"}]},
+                 id="default-tail-past-float-range"),
 ])
 def test_verify_constants_malformed_catalog_is_usage_error(capsys, tmp_path, catalog_json):
     alt = tmp_path / "cat.json"
@@ -599,6 +606,18 @@ def test_verify_constants_infinite_domain_end_is_unbounded(capsys, tmp_path):
     assert code == 0
     row = json.loads(out)
     assert row["domain"] == [1.0, None] and row["verdict"] == "pass"
+
+
+def test_verify_constants_default_scan_starts_at_the_domain(capsys, tmp_path):
+    # a domain starting above DEFAULT_SCAN_HI was scanned on the reversed range
+    # [1e8, 1e7], which reported 1e-07 at t = 1e7, outside the domain
+    alt = tmp_path / "cat.json"
+    alt.write_text(json.dumps({"version": "0.0.1", "entries": [
+        {**TOY_ENTRY, "domain": [1e8, None], "tail_note": "decreasing"}]}))
+    code, out, _ = run(capsys, "verify-constants", "--catalog", str(alt))
+    assert code == 0
+    row = json.loads(out)
+    assert (row["recomputed_sup"], row["sup_at"]) == (1e-8, 1e8)
 
 
 def test_verify_constants_ignores_result_fields_of_input(capsys, tmp_path):

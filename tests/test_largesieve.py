@@ -11,6 +11,7 @@ import pytest
 from repulse.largesieve import (
     EULER_GAMMA,
     EXACT_MG_LIMIT,
+    MAX_TAU_TABLE,
     SieveSystem,
     b0_estimate,
     divisor_summatory,
@@ -26,7 +27,7 @@ from repulse.largesieve import (
     tau_ratio_sum,
     _tau_table,
 )
-from repulse import primes
+from repulse import largesieve, primes
 from repulse.primes import primes_up_to
 from repulse.repulsive import PrimeSet, greedy_construct
 
@@ -437,7 +438,7 @@ def test_tau_table_matches_per_divisor_loop():
     tau = np.zeros(20_001, dtype=np.int32)
     for d in range(1, 20_001):
         tau[d::d] += 1
-    table = _tau_table()
+    table = _tau_table(10**6)[0]
     assert table.dtype == np.int32 and len(table) == 10**6 + 1
     assert np.array_equal(table[:20_001], tau)
     assert int(np.cumsum(table, dtype=np.int64)[10**6]) == divisor_summatory(10**6) == 13970034
@@ -447,7 +448,7 @@ def test_divisor_summatory_envelope():
     # |D(w) - (w log w + (2 gamma - 1) w)| <= 0.764 w^(1/3) log w on [9995, 10^6]
     # _tau_table is pinned by test_tau_table_matches_per_divisor_loop;
     # criterion 06 rebuilds the table independently
-    dvals = np.cumsum(_tau_table(), dtype=np.int64)[9995:]
+    dvals = np.cumsum(_tau_table(10**6)[0], dtype=np.int64)[9995:]
     w = np.arange(9995, 10**6 + 1, dtype=np.float64)
     main = w * np.log(w) + (2 * EULER_GAMMA - 1) * w
     ratio = np.abs(dvals - main) / (0.764 * np.cbrt(w) * np.log(w))
@@ -466,12 +467,10 @@ def test_tau_ratio_sum_exact_value_at_sixty():
 
 
 def test_tau_ratio_exact_and_float_paths_agree():
-    from repulse.largesieve import _tau_ratio_prefix
-
     exact = tau_ratio_sum(10_000)
     assert isinstance(exact, Fraction)
     assert isinstance(tau_ratio_sum(10_001), float)
-    assert float(_tau_ratio_prefix()[10_000]) == pytest.approx(float(exact), rel=1e-12)
+    assert float(_tau_table(10**6)[1][10_000]) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_lemma22_margin_values():
@@ -492,11 +491,57 @@ def test_lemma22_helpers_refuse_non_finite_y(y):
             helper(y)
 
 
-def test_lemma22_margin_positive_on_all_integers_to_one_million():
-    from repulse.largesieve import _tau_ratio_prefix
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: tau_ratio_sum(math.inf), ValueError, "y must be finite"),
+    (lambda: tau_ratio_sum(math.nan), ValueError, "y must be finite"),
+    (lambda: tau_ratio_sum(True), TypeError, "y must be a number"),
+    (lambda: restricted_sum({(2, 1): 1}, [], math.inf), ValueError, "x must be finite"),
+    (lambda: greedy_construct(math.inf, 1, 3), ValueError, "x must be finite"),
+], ids=["tau_inf", "tau_nan", "tau_bool", "restricted_inf", "greedy_inf"])
+def test_non_finite_and_bool_arguments_fail_in_one_line(call, exc, match):
+    # inf raised OverflowError from math.floor, and True summed as y = 1
+    with pytest.raises(exc, match=match):
+        call()
 
+
+@pytest.fixture
+def empty_tau_table(monkeypatch):
+    """The tau table as a fresh process has it; the cached one comes back afterwards."""
+    counts, sums = largesieve._TAU_EMPTY
+    monkeypatch.setattr(largesieve, "_tau_counts", counts)
+    monkeypatch.setattr(largesieve, "_tau_sums", sums)
+
+
+def test_tau_table_grows_only_as_far_as_asked(empty_tau_table):
+    lemma22_margin(60)
+    assert len(largesieve._tau_counts) == len(largesieve._tau_sums) == 2**10
+    lemma22_margin(10**5)
+    assert len(largesieve._tau_counts) == len(largesieve._tau_sums) == 2**17
+    b0_estimate(10**6)
+    assert len(largesieve._tau_counts) == len(largesieve._tau_sums) == MAX_TAU_TABLE + 1
+    with pytest.raises(ValueError, match="supports y <="):
+        lemma22_margin(MAX_TAU_TABLE + 1)
+    assert len(largesieve._tau_sums) == MAX_TAU_TABLE + 1
+
+
+def test_tau_table_growth_keeps_every_margin(empty_tau_table):
+    # an increasing sweep rebuilds about log2 times, and no rebuild moves a margin
+    grown, builds, sums = [], 0, None
+    for y in range(2, 10**6 + 1):
+        margin = lemma22_margin(y)
+        if y <= 2 * 10**5:
+            grown.append(margin)
+        if largesieve._tau_sums is not sums:
+            builds, sums = builds + 1, largesieve._tau_sums
+    assert builds <= math.ceil(math.log2(10**6 / 2**10)) + 1
+    largesieve._tau_counts, largesieve._tau_sums = largesieve._TAU_EMPTY
+    _tau_table(MAX_TAU_TABLE)
+    assert [lemma22_margin(y) for y in range(2, 2 * 10**5 + 1)] == grown
+
+
+def test_lemma22_margin_positive_on_all_integers_to_one_million():
     y = np.arange(60, 10**6 + 1, dtype=np.float64)
-    prefix = _tau_ratio_prefix()[60:10**6 + 1]
+    prefix = np.asarray(_tau_table(10**6)[1])[60:10**6 + 1]
     ly = np.log(y)
     margins = prefix - (ly * ly / 2 + 2 * EULER_GAMMA * ly + 0.4)
     assert float(np.min(margins)) > 0

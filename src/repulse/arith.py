@@ -34,16 +34,16 @@ class Factorization:
         primes.check_increasing_primes(p for p, _ in self.pairs)
         acc = 1
         for p, e in self.pairs:
-            if e < 1:
+            if _integer("exponent", e) < 1:
                 raise ValueError(f"exponent must be >= 1, got {p}^{e}")
             acc *= p**e
-        if acc != self.value:
+        if acc != _integer("value", self.value):
             raise ValueError(f"value {self.value} does not match product {acc}")
 
 
 def from_pairs(pairs) -> Factorization:
-    """Build a validated Factorization from (prime, exponent) pairs."""
-    tup = tuple((int(p), int(e)) for p, e in pairs)
+    """Build a validated Factorization from (prime, exponent) pairs of integers."""
+    tup = tuple((_integer("prime", p), _integer("exponent", e)) for p, e in pairs)
     value = 1
     for p, e in tup:
         value *= p**e

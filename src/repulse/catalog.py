@@ -503,40 +503,31 @@ def verify_constant(
         sup, at = _CUSTOM_EVALUATORS[entry.expression](entry)
         return _complete(entry, sup, at, tolerance)
 
-    # a catalog file holds many entries; name the one whose expression fails
-    try:
-        expr = compile_expression(entry.expression)
-    except ValueError as exc:
-        raise ValueError(f"entry {entry.name!r}: {exc}") from None
-
-    def fn(t: float) -> float:
-        try:
-            return expr(t)
-        except ValueError as exc:
-            raise ValueError(f"entry {entry.name!r}: {exc}") from None
-
-    if entry.kind in ("arithmetic", "value"):
-        val = fn(2.0)
-        if fn(3.0) != val:
-            raise ValueError(
-                f"entry {entry.name!r} is {entry.kind} but its expression depends on t"
-            )
-        return _complete(entry, val, None, tolerance)
-
+    constant = entry.kind in ("arithmetic", "value")
     maximize = entry.direction == "sup_le"
     unbounded = math.isinf(entry.domain_hi)
-    if unbounded and not entry.tail_note:
-        return replace(entry, recomputed_sup=None, sup_at=None, margin=None,
-                       verdict="unverifiable-by-grid")
-    scan_hi = entry._scan_top()
-    best, at = _scan_extremum(fn, entry.domain_lo, scan_hi, grid, maximize)
-    if unbounded:
-        # declared-tail spot check: the samples join the candidate set,
-        # so visible tail growth is never silently discarded
-        for t in _tail_points(scan_hi):
-            v = fn(float(t))
-            if (maximize and v > best) or (not maximize and v < best):
-                best, at = v, float(t)
+    # a catalog file holds many entries; name the one whose expression fails
+    try:
+        fn = compile_expression(entry.expression)
+        if constant:
+            best, at, again = fn(2.0), None, fn(3.0)
+        elif unbounded and not entry.tail_note:
+            return replace(entry, recomputed_sup=None, sup_at=None, margin=None,
+                           verdict="unverifiable-by-grid")
+        else:
+            scan_hi = entry._scan_top()
+            best, at = _scan_extremum(fn, entry.domain_lo, scan_hi, grid, maximize)
+            if unbounded:
+                # declared-tail spot check: the samples join the candidate set,
+                # so visible tail growth is never silently discarded
+                for t in _tail_points(scan_hi):
+                    v = fn(float(t))
+                    if (maximize and v > best) or (not maximize and v < best):
+                        best, at = v, float(t)
+    except ValueError as exc:
+        raise ValueError(f"entry {entry.name!r}: {exc}") from None
+    if constant and again != best:
+        raise ValueError(f"entry {entry.name!r} is {entry.kind} but its expression depends on t")
     return _complete(entry, best, at, tolerance)
 
 

@@ -162,15 +162,10 @@ def _load_prime_set(path: str) -> repulsive.PrimeSet:
             raise ValueError(f"set file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not {"a", "primes", "cutoff"} <= raw.keys():
         raise ValueError(f"set file {path} needs keys a, primes, cutoff")
-    a, members, cutoff = raw["a"], raw["primes"], raw["cutoff"]
-    # type() is exact, so a bool (an int subclass) is refused as a number
-    if type(a) is not int:
-        raise ValueError(f"set file {path}: a must be an integer, got {a!r}")
-    if type(members) is not list or any(type(p) is not int for p in members):
-        raise ValueError(f"set file {path}: primes must be a list of integers")
-    if type(cutoff) not in (int, float):
-        raise ValueError(f"set file {path}: cutoff must be a number, got {cutoff!r}")
-    return repulsive.PrimeSet(a=a, primes=tuple(members), cutoff=cutoff)
+    try:
+        return repulsive.PrimeSet(a=raw["a"], primes=raw["primes"], cutoff=raw["cutoff"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"set file {path}: {exc}") from None
 
 
 def cmd_sieve(args: argparse.Namespace, out: IO[str]) -> int:
@@ -233,7 +228,7 @@ def cmd_lemma22(args: argparse.Namespace, out: IO[str]) -> int:
         nonlocal violated
         for y in range(args.lo, args.hi + 1, args.step):
             margin = largesieve.lemma22_margin(y)
-            violated = violated or (margin <= 0 and y >= 60)
+            violated = violated or (margin <= 0 and y >= largesieve.LEMMA22_FROM)
             yield {"y": y, "margin": margin}
 
     emit_rows(rows(), args.format, out)
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lemma21)
 
     p = sub.add_parser("lemma22", help="divisor-average margin over a range of y")
-    p.add_argument("--from", dest="lo", type=_int_arg, default=60)
+    p.add_argument("--from", dest="lo", type=_int_arg, default=largesieve.LEMMA22_FROM)
     p.add_argument("--to", dest="hi", type=_int_arg, default=10**6)
     p.add_argument("--step", type=_positive_int_arg, default=1)
     _add_common(p)

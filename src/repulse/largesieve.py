@@ -20,7 +20,7 @@ import numpy as np
 from . import primes
 from .arith import _trusted, factor
 from .bounds import EULER_GAMMA
-from .primes import _finite
+from .primes import _finite, _integer
 from .repulsive import PrimeSet
 
 EXACT_MG_LIMIT = 10_000        # exact rational M_g up to here, floats beyond
@@ -28,6 +28,7 @@ EXACT_TAU_LIMIT = 10_000       # same threshold for sums of tau(m)/m
 MAX_WINDOW = 100_000_000       # survivor counting refuses longer windows
 MAX_TAU_TABLE = 1_000_000      # cached divisor-count table size
 MAX_D_ARG = 1_000_000_000      # divisor_summatory range (hyperbola method)
+LEMMA22_FROM = 60              # lemma 22's lower bound is stated for y >= this
 _ZERO_CLASS = frozenset((0,))  # Omega_p of a prime without assigned classes
 
 
@@ -48,7 +49,8 @@ class SieveSystem:
         primes.check_increasing_primes(sorted(self.omega_p))
         norm = {}
         for p, residues in self.omega_p.items():
-            norm[int(p)] = frozenset(int(r) % p for r in residues)
+            p = _integer("primes", p)
+            norm[p] = frozenset(_integer("residues", r) % p for r in residues)
         object.__setattr__(self, "omega_p", norm)
 
     def omega(self, p: int) -> frozenset[int]:
@@ -209,9 +211,10 @@ def _as_fraction(v) -> Fraction:
 def _normalize_table(f_table: Mapping) -> dict[int, dict[int, Fraction]]:
     by_p: dict[int, dict[int, Fraction]] = {}
     for (p, e), v in f_table.items():
+        p, e = _integer("table prime", p), _integer("table exponent", e)
         if not primes.is_prime(p) or e < 1:
             raise ValueError(f"table key ({p}, {e}) is not a prime power")
-        by_p.setdefault(int(p), {})[int(e)] = _as_fraction(v)
+        by_p.setdefault(p, {})[e] = _as_fraction(v)
     return by_p
 
 
@@ -250,7 +253,7 @@ def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
     if top > primes.Config.SMALL_SIEVE_LIMIT:
         raise ValueError(f"restricted_sum supports x <= {primes.Config.SMALL_SIEVE_LIMIT}")
     by_p = _normalize_table(f_table)
-    u_set = sorted(set(int(p) for p in u))
+    u_set = sorted({_integer("u", p) for p in u})
     spf = primes.smallest_prime_factor()
 
     lhs = full = Fraction(1)  # n = 1
@@ -286,7 +289,7 @@ def lemma21_check(f_table: Mapping, u: Iterable[int], x: float,
 
 def divisor_summatory(w: int) -> int:
     """D(w) = sum of tau(n) for n <= w, by the hyperbola method."""
-    if primes._integer("w", w) < 1:
+    if _integer("w", w) < 1:
         raise ValueError(f"need w >= 1, got {w}")
     if w > MAX_D_ARG:
         raise ValueError(f"divisor_summatory supports w <= {MAX_D_ARG}")
@@ -350,7 +353,7 @@ def lemma22_margin(y: float) -> float:
     """Sum of tau(m)/m up to y, minus (log^2 y / 2 + 2 gamma log y + 0.4).
 
     Positive return means the lower-bound inequality holds at y.  The stated
-    range starts at 60; smaller y >= 2 are evaluated without any assertion.
+    range starts at LEMMA22_FROM; smaller y >= 2 are evaluated without any assertion.
     A y that is not finite raises ValueError.
     """
     if not 2 <= y < math.inf:

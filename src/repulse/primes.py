@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Iterable, Iterator
 
@@ -36,8 +37,9 @@ def _integer(name: str, value) -> int:
 
 
 def _finite(name: str, value):
-    """value itself when it is a finite number; a bool (True == 1) is a TypeError."""
-    if isinstance(value, bool):
+    """value itself when it is a finite real number; a bool (True == 1), or a value
+    that is not a numbers.Real (a str, None, a Decimal), is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     if not -math.inf < value < math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
@@ -192,10 +194,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_increasing_primes(seq: Iterable[int]) -> None:
-    """Raise ValueError unless each member is prime (tested first) and seq strictly increases."""
+    """Raise ValueError unless each member is prime (tested first) and seq strictly
+    increases; a member that is not an integer is a TypeError."""
     prev = 1
     for p in seq:
-        if not is_prime(p):
+        if not is_prime(_integer("primes", p)):
             raise ValueError(f"{p} is not prime")
         if p <= prev:
             raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")

@@ -29,6 +29,7 @@ class PrimeSet:
 
     Members are proven prime once: by the constructor via primes.check_increasing_primes, or
     by the sieve or factor() before greedy_construct or set_of_integer uses arith._trusted.
+    The constructor takes the members as a list or a tuple and keeps a tuple.
     """
 
     a: int
@@ -36,8 +37,12 @@ class PrimeSet:
     cutoff: float
 
     def __post_init__(self) -> None:
+        _integer("a", self.a)
+        if not isinstance(self.primes, (list, tuple)):
+            raise TypeError(f"primes must be a list of integers, got {self.primes!r}")
+        object.__setattr__(self, "primes", tuple(self.primes))
         primes.check_increasing_primes(self.primes)
-        if not self.cutoff >= 2:  # also refuses NaN
+        if not primes._finite("cutoff", self.cutoff) >= 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.primes and self.primes[-1] > self.cutoff:
             raise ValueError(f"prime {self.primes[-1]} exceeds cutoff {self.cutoff}")
@@ -87,7 +92,7 @@ def is_self_repulsive(prime_seq: Sequence[int], a: int) -> RepulsionCheck:
     property fails.  Non-prime elements are rejected.
     """
     a = _integer("a", a)
-    elems = sorted(set(int(p) for p in prime_seq))
+    elems = sorted({_integer("primes", p) for p in prime_seq})
     primes.check_increasing_primes(elems)
     return _repulsion(elems, a)
 
@@ -163,7 +168,7 @@ def greedy_construct(x: float, a: int, start: int) -> PrimeSet:
 
 def stats(u: PrimeSet, x: float) -> SetStats:
     """P, S, theta, and the count over the members of u not exceeding x."""
-    if x > u.cutoff:
+    if primes._finite("x", x) > u.cutoff:
         raise ValueError(f"x={x} exceeds the set's cutoff {u.cutoff}")
     members = [p for p in u.primes if p <= x]
     # Compensated log-space product keeps p_u stable for large sets.

@@ -288,6 +288,41 @@ def test_sieve_malformed_set_is_usage_error(capsys, tmp_path, body, reason):
     assert len(err.splitlines()) == 1 and reason in err
 
 
+_BAD_JSON = ["true", "2.5", "NaN", "Infinity", '"7"', "null", "[]", "{}"]
+
+
+def _write_set(path, fields):
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+
+
+# an empty list of primes is a well-formed empty set, so that pair is left out
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("a", "primes", "member", "cutoff") for bad in _BAD_JSON
+    if (field, bad) != ("primes", "[]")])
+def test_sieve_survives_any_one_bad_field(capsys, tmp_path, field, bad):
+    # one field of a valid set file, or one member of its primes, set to a
+    # JSON value of the wrong kind: a usage error naming the file and the
+    # field, never a truncated integer or a traceback
+    fields = {"a": "1", "primes": "[3, 5]", "cutoff": "100"}
+    if field == "member":
+        fields["primes"] = f"[3, {bad}]"
+    else:
+        fields[field] = bad
+    setfile = tmp_path / "bad.json"
+    _write_set(setfile, fields)
+    code, out, err = run(capsys, "sieve", "--x", "10", "--w", "3", "--set", str(setfile))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and f"set file {setfile}: " in err
+    assert ("primes" if field == "member" else field) in err
+
+
+def test_sieve_loads_an_a_beyond_machine_range(capsys, tmp_path):
+    setfile = tmp_path / "u.json"
+    _write_set(setfile, {"a": 10**30, "primes": "[3, 5]", "cutoff": "100"})
+    code, out, err = run(capsys, "sieve", "--x", "10", "--w", "3", "--set", str(setfile))
+    assert (code, err) == (0, "") and json.loads(out)["x"] == 10.0
+
+
 def test_sieve_refuses_large_w_before_counting(capsys, tmp_path, monkeypatch):
     def count_not_expected(*args):
         raise AssertionError("survivor_count ran before --w was checked")

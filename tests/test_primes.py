@@ -1,5 +1,8 @@
 """Tests for prime enumeration and primality, against sympy as an independent oracle."""
 
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 import sympy
@@ -7,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repulse import primes
+from repulse.arith import Factorization, from_pairs
+from repulse.largesieve import SieveSystem
+from repulse.repulsive import PrimeSet, is_self_repulsive, stats
 from repulse.primes import MR_LIMIT, Config, is_prime, iter_primes, primes_up_to
 
 SMALL = Config.SMALL_SIEVE_LIMIT
@@ -40,6 +46,42 @@ def test_is_prime_examples():
 def test_bools_and_floats_are_refused(call):
     with pytest.raises(TypeError, match=r"^n must be an integer, got \S+$"):
         call()
+
+
+_RECORD = PrimeSet(a=1, primes=(3, 5), cutoff=10.0)
+
+
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: from_pairs([(3.7, 1)]), TypeError, "prime"),  # was 3
+    (lambda: from_pairs([(3, 2.9)]), TypeError, "exponent"),  # was 9
+    (lambda: from_pairs([("7", 1)]), TypeError, "prime"),  # was 7
+    (lambda: from_pairs([(3, True)]), TypeError, "exponent"),  # was 3
+    (lambda: Factorization(pairs=((3, 2.0),), value=9), TypeError, "exponent"),
+    (lambda: Factorization(pairs=((3, True),), value=3), TypeError, "exponent"),
+    (lambda: Factorization(pairs=((3, 2),), value=9.0), TypeError, "value"),
+    (lambda: PrimeSet(a=True, primes=(3,), cutoff=10.0), TypeError, "a"),
+    (lambda: PrimeSet(a=1.5, primes=(3,), cutoff=10.0), TypeError, "a"),
+    (lambda: PrimeSet(a=1, primes=None, cutoff=10.0), TypeError, "primes"),
+    (lambda: PrimeSet(a=1, primes=(3,), cutoff="100"), TypeError, "cutoff"),  # a comparison error
+    (lambda: PrimeSet(a=1, primes=(3,), cutoff=Decimal(100)), TypeError, "cutoff"),  # was accepted
+    (lambda: PrimeSet(a=1, primes=(3,), cutoff=math.inf), ValueError, "cutoff"),
+    (lambda: SieveSystem(start=0, x_len=10.0, omega_p={3: {1.7}}), TypeError, "residues"),
+    (lambda: is_self_repulsive([3.7, 5], 1), TypeError, "primes"),  # was the set {3, 5}
+    (lambda: stats(_RECORD, math.nan), ValueError, "x"),  # was empty statistics
+    (lambda: stats(_RECORD, None), TypeError, "x"),  # a comparison error
+])
+def test_records_refuse_a_field_that_is_not_an_integer(call, error, field):
+    # each record puts its integer fields through primes._integer and its
+    # numbers through primes._finite: a one-line error that names the field
+    with pytest.raises(error, match=rf"^{field} must be (an integer|a number|a list|finite)") as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
+def test_from_pairs_turns_numpy_integers_into_ints():
+    f = from_pairs([(np.int64(3), np.int32(2)), (np.uint16(7), np.int8(1))])
+    assert f.pairs == ((3, 2), (7, 1)) and f.value == 63
+    assert all(type(v) is int for pair in f.pairs for v in pair) and type(f.value) is int
 
 
 def test_numpy_integers_pass():

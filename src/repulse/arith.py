@@ -22,9 +22,10 @@ class Factorization:
 
     The empty sequence represents 1.  `value` always equals the product of the
     prime powers and may exceed machine range for externally built inputs.
-    Each prime is proven once: by primes.check_increasing_primes in the constructor
-    and from_pairs (one at or above primes.MR_LIMIT raises ValueError), or by
-    factor() as it finds it, which then builds the record with _trusted.
+    Each prime is proven once, before any power of it is formed: by
+    primes.check_increasing_primes in the constructor and from_pairs (one at or
+    above primes.MR_LIMIT raises ValueError), or by factor() as it finds it;
+    from_pairs and factor() then build the record with _trusted.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -32,22 +33,36 @@ class Factorization:
 
     def __post_init__(self) -> None:
         primes.check_increasing_primes(p for p, _ in self.pairs)
+        value = _integer("value", self.value)
         acc = 1
         for p, e in self.pairs:
-            if _integer("exponent", e) < 1:
-                raise ValueError(f"exponent must be >= 1, got {p}^{e}")
-            acc *= p**e
-        if acc != _integer("value", self.value):
-            raise ValueError(f"value {self.value} does not match product {acc}")
+            e = _exponent(p, e)
+            if e > value.bit_length() or acc > value:  # p >= 2, so p**e would overshoot
+                break
+            acc *= int(p) ** e
+        else:
+            if acc == value:
+                return
+        # names no number: value, an exponent or the product may be too long to print
+        raise ValueError("value does not match the product of the prime powers")
+
+
+def _exponent(p: int, e) -> int:
+    """Exponent e of prime p as an int >= 1."""
+    e = _integer("exponent", e)
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {p}^{e}")
+    return e
 
 
 def from_pairs(pairs) -> Factorization:
     """Build a validated Factorization from (prime, exponent) pairs of integers."""
-    tup = tuple((_integer("prime", p), _integer("exponent", e)) for p, e in pairs)
+    tup = tuple((_integer("prime", p), _exponent(p, e)) for p, e in pairs)
+    primes.check_increasing_primes(p for p, _ in tup)
     value = 1
     for p, e in tup:
         value *= p**e
-    return Factorization(pairs=tup, value=value)
+    return _trusted(Factorization, pairs=tup, value=value)
 
 
 def _trusted(cls, **fields):
@@ -190,17 +205,28 @@ def unitary_sigma(f: Factorization) -> int:
 def _unitary_product(f: Factorization, s: int) -> int:
     """Product of (p^e + s) over the prime powers of f."""
     out = 1
-    for p, e in f.pairs:
-        out *= p**e + s
+    try:
+        for p, e in f.pairs:
+            out *= p**e + s
+    except AttributeError:
+        raise _not_factorization(f) from None
     return out
 
 
 def phi_a(f: Factorization, a: int) -> int:
     """Product of (p - a) p^(e-1).  Signed; a=1 gives euler_phi, a=-1 gives dedekind_psi."""
     out = 1
-    for p, e in f.pairs:
-        out *= (p - a) * p ** (e - 1)
+    try:
+        for p, e in f.pairs:
+            out *= (p - a) * p ** (e - 1)
+    except AttributeError:
+        raise _not_factorization(f) from None
     return out
+
+
+def _not_factorization(f) -> TypeError:
+    """The one-line error of a multiplicative function given no Factorization."""
+    return TypeError(f"expected a Factorization, got {type(f).__name__}")
 
 
 def profile(f: Factorization) -> ArithProfile:
@@ -208,11 +234,14 @@ def profile(f: Factorization) -> ArithProfile:
     n1 = 1
     rad = 1
     big = 0
-    for p, e in f.pairs:
-        rad *= p
-        big += e
-        if e == 1:
-            n1 *= p
+    try:
+        for p, e in f.pairs:
+            rad *= p
+            big += e
+            if e == 1:
+                n1 *= p
+    except AttributeError:
+        raise _not_factorization(f) from None
     return ArithProfile(
         n=f.value,
         phi=euler_phi(f),

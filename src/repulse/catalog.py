@@ -397,9 +397,32 @@ def _odd_prime_ratio_segments(hi: int) -> Iterator[Tuple[int, np.ndarray]]:
             return
 
 
+def _ratio_ceiling(a, b):
+    """A value above the computed ratio at every integer r in [a, b], 5 <= a <= b,
+    elementwise over integer arrays; +inf (never prune) for a < 5.
+
+    p2(b) < x = (b+1)(log(b+1) + loglog(b+1)); the odd-prime product up to x is
+    below (e^gamma/2)(log x + 1/log x), which grows with x > e; loglog r >= loglog a.
+    The factor 1 + 1e-6 covers the cumsum's rounding and the ceiling's own.
+    """
+    b1 = np.add(b, 1.0)
+    lx = np.log(b1 * (np.log(b1) + np.log(np.log(b1))))
+    with np.errstate(divide="ignore"):  # loglog(1) = -inf; a < 5 is +inf anyway
+        top = math.exp(bounds.EULER_GAMMA) / 2 * (lx + 1 / lx) / np.log(np.log(a)) * (1 + 1e-6)
+    return np.where(np.less(a, 5), np.inf, top)
+
+
 def _eval_odd_prime_mertens_ratio(entry: ConstantCheck) -> Tuple[float, float]:
     """Exact max of the odd-prime product ratio over the entry's integers
-    r in [4, floor(e^16)], and the first r attaining it."""
+    r in [4, floor(e^16)], and the first r attaining it.
+
+    Branch and bound: after each prime segment the scan stops once
+    _ratio_ceiling over the r still to come is below the best ratio so far.
+    The ceiling rests on p_n < n (log n + loglog n) for n >= 6 (Rosser 1938)
+    and prod_{p <= x} p/(p-1) < e^gamma log x (1 + 1/log^2 x) for x > 1
+    (Rosser & Schoenfeld 1962, Thm 8 (3.30)). The tighter 1/(2 log^2 x) form
+    holds only from x >= 286, so it is not used.
+    """
     lo = max(4, math.ceil(entry.domain_lo))
     hi = _RATIO_TOP_R if entry.domain_hi >= _RATIO_TOP_R else math.floor(entry.domain_hi)
     if lo > hi:
@@ -412,6 +435,8 @@ def _eval_odd_prime_mertens_ratio(entry: ConstantCheck) -> Tuple[float, float]:
             idx = skip + int(np.argmax(ratio[skip:]))
             if ratio[idx] > best:  # strict: the first maximum wins, as in np.argmax
                 best, at = float(ratio[idx]), r0 + idx
+        if _ratio_ceiling(max(r0 + ratio.size, lo), hi) < best:
+            break
     return best, float(at)
 
 

@@ -356,8 +356,11 @@ def lemma22_margin(y: float) -> float:
     range starts at LEMMA22_FROM; smaller y >= 2 are evaluated without any assertion.
     A y that is not finite raises ValueError.
     """
-    if not 2 <= y < math.inf:
-        raise ValueError(f"need a finite y >= 2, got {y}")
+    try:
+        if not 2 <= y < math.inf:
+            raise ValueError(f"need a finite y >= 2, got {y}")
+    except TypeError:
+        raise TypeError(f"y must be a number, got {y!r}") from None
     top = math.floor(y)
     sums = _tau_sums if top < len(_tau_sums) else _tau_table(top)[1]
     ly = math.log(y)
@@ -366,8 +369,11 @@ def lemma22_margin(y: float) -> float:
 
 def b0_estimate(y: int) -> float:
     """Empirical limit of sum tau(m)/m - log^2 y / 2 - 2 gamma log y as y grows."""
-    if not 1000 <= y < math.inf:
-        raise ValueError(f"need a finite y >= 1000, got {y}")
+    try:
+        if not 1000 <= y < math.inf:
+            raise ValueError(f"need a finite y >= 1000, got {y}")
+    except TypeError:
+        raise TypeError(f"y must be a number, got {y!r}") from None
     top = math.floor(y)
     sums = _tau_sums if top < len(_tau_sums) else _tau_table(top)[1]
     ly = math.log(y)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import primes
-from .arith import Factorization, _integer, _trusted, phi_a
+from .arith import Factorization, _integer, _not_factorization, _trusted, phi_a
 
 EXACT_PRODUCT_LIMIT = 64  # sets at most this large also get an exact rational product
 
@@ -132,7 +132,10 @@ def _repulsion(elems: Sequence[int], a: int) -> RepulsionCheck:
 
 def set_of_integer(f: Factorization, a: int) -> tuple[PrimeSet, SupportDiagnostics]:
     """Prime support of a factorization, with the coprimality-criterion diagnostics."""
-    support = tuple(p for p, _ in f.pairs)  # proven and strictly increasing
+    try:
+        support = tuple(p for p, _ in f.pairs)  # proven and strictly increasing
+    except AttributeError:
+        raise _not_factorization(f) from None
     check = _repulsion(support, a)
     g = math.gcd(f.value, abs(phi_a(f, a)))
     diag = SupportDiagnostics(

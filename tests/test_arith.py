@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repulse import primes, repulsive
 from repulse.arith import (
     Factorization,
     dedekind_psi,
@@ -168,6 +170,56 @@ def test_from_pairs_member_below_two_is_not_prime():
     # primality is tested before order, so 1 is not reported as out of order
     with pytest.raises(ValueError, match="^1 is not prime$"):
         from_pairs([(1, 2), (3, 1)])
+
+
+def test_from_pairs_proves_each_prime_once_before_powering(monkeypatch):
+    primes.is_prime(3)  # warm the cached table outside the timing
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        from_pairs([(4, 3 * 10**7)])  # 4^e alone took 0.3 s to build
+    assert time.perf_counter() - start < 0.05
+    calls = []
+    real = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda n: calls.append(n) or real(n))
+    assert from_pairs([(3, 1), (5, 2), (7, 1)]).value == 525
+    assert calls == [3, 5, 7]
+    calls.clear()
+    assert Factorization(pairs=((3, 1), (5, 2)), value=75).value == 75
+    assert calls == [3, 5]
+
+
+@pytest.mark.parametrize("pairs, value", [
+    (((3, 10**7),), 5),       # ran 3.2 s, then failed formatting 3^e
+    (((3, 10**5000),), 5),    # an exponent too long to print
+    (((2, 100),), 1),
+    (((2, 1),), 0),
+    (((3, 2), (5, 1)), -45),
+    ((), 0),
+])
+def test_factorization_bounds_each_exponent_before_powering(pairs, value):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^value does not match the product of the prime powers$"):
+        Factorization(pairs=pairs, value=value)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_factorization_powers_a_numpy_prime_exactly():
+    # np.int64(3) ** 50 wrapped around, and the record was refused as a mismatch
+    assert Factorization(pairs=((np.int64(3), 50),), value=3**50).value == 3**50
+
+
+@pytest.mark.parametrize("call", [
+    lambda: profile(True),
+    lambda: euler_phi(10),
+    lambda: dedekind_psi(None),
+    lambda: unitary_phi("15"),
+    lambda: unitary_sigma(15.0),
+    lambda: phi_a(10**5000, 2),
+    lambda: repulsive.set_of_integer(True, 1),
+])
+def test_multiplicative_functions_take_only_a_factorization(call):
+    with pytest.raises(TypeError, match="^expected a Factorization, got [a-zA-Z]+$"):
+        call()
 
 
 # ----- function values -----

@@ -190,10 +190,13 @@ def test_six_loglog_details(completed):
 
 def test_six_loglog_interior_and_right_end():
     size, interior, interior_at = 0, -math.inf, None
-    above, last = [], None
+    above, last, tightest = [], None, 0.0
     for r0, ratio in cat._odd_prime_ratio_segments(cat._RATIO_TOP_R):
         size += ratio.size
         r = np.arange(r0, r0 + ratio.size)
+        # the evaluator's pruning ceiling, certified at every r of its domain
+        five_up = r >= 5
+        tightest = max(tightest, float(np.max(ratio[five_up] / cat._ratio_ceiling(r, r)[five_up])))
         inside = np.flatnonzero((r >= 5) & (r <= 10**6))
         if inside.size:
             i = inside[int(np.argmax(ratio[inside]))]
@@ -212,6 +215,7 @@ def test_six_loglog_interior_and_right_end():
     assert above[-1] == 8886110
     assert above.size == 2400059
     assert last == pytest.approx(6.064207820812686, abs=1e-8)
+    assert 0.99 < tightest < 1.0  # 0.99447, at r = 8886110
 
 
 def _ratio_entry(lo, hi):
@@ -239,6 +243,47 @@ def test_odd_prime_ratio_matches_whole_array_oracle():
         idx = int(np.argmax(ratio[lo - 1:hi]))
         expect = (float(ratio[lo - 1 + idx]), float(lo + idx))
         assert cat._eval_odd_prime_mertens_ratio(_ratio_entry(lo, hi)) == expect, (lo, hi)
+
+
+def _full_scans(windows):
+    """(max, first r attaining it) of each window by the generator's full-range
+    scan, no pruning: one pass, stopping after the largest hi."""
+    best = {w: (-math.inf, None) for w in windows}
+    for r0, ratio in cat._odd_prime_ratio_segments(max(hi for _, hi in windows)):
+        for lo, hi in windows:
+            a, b = max(lo, r0), min(hi, r0 + ratio.size - 1)
+            if a <= b:
+                idx = a - r0 + int(np.argmax(ratio[a - r0:b - r0 + 1]))
+                if ratio[idx] > best[lo, hi][0]:
+                    best[lo, hi] = (float(ratio[idx]), float(r0 + idx))
+    return best
+
+
+def test_pruned_ratio_equals_the_full_generator_scan():
+    starts = [r0 for r0, _ in itertools.islice(cat._odd_prime_ratio_segments(cat._RATIO_TOP_R), 4)]
+    windows = [(4, 200_000), (78_000, 300_000), (5, cat._RATIO_TOP_R)]  # the last two peak at the top
+    for seam in starts[1:]:
+        windows += [(5, seam - 1), (5, seam + 50), (seam - 1, seam), (seam - 50, seam + 50),
+                    (seam, 2 * seam), (4, seam + 3)]
+    for (lo, hi), expect in _full_scans(windows).items():
+        assert cat._eval_odd_prime_mertens_ratio(_ratio_entry(lo, hi)) == expect, (lo, hi)
+
+
+def test_packaged_ratio_entry_sieves_no_segment(monkeypatch):
+    blocks = []
+    real = primes._segments
+
+    def spy(lo, hi):
+        for block in real(lo, hi):
+            blocks.append(block.size)
+            yield block
+
+    monkeypatch.setattr(primes, "_segments", spy)
+    entry = cat.load_catalog().entry("odd_prime_mertens_six_loglog")
+    assert cat._eval_odd_prime_mertens_ratio(entry) == (7.3668022459125995, 4.0)
+    assert blocks == []  # the ceiling over r >= 78498 is 6.98 < 7.37 at r = 4
+    assert cat._eval_odd_prime_mertens_ratio(_ratio_entry(78_000, 300_000))[1] == 300_000.0
+    assert len(blocks) > 0  # the spy sees the blocks of a window that cannot prune
 
 
 def test_odd_prime_ratio_empty_window_is_refused():

@@ -483,6 +483,16 @@ def test_lemma22_margin_values():
         lemma22_margin(1.5)
 
 
+@pytest.mark.parametrize("fn", [lemma22_margin, b0_estimate])
+def test_lemma22_and_b0_name_a_y_that_is_not_a_number(fn):
+    for y in ("7", None, 1j):
+        with pytest.raises(TypeError, match="^y must be a number, got"):
+            fn(y)
+    for y in (math.nan, True):  # these compare, and stay a ValueError
+        with pytest.raises(ValueError, match="need a finite y"):
+            fn(y)
+
+
 @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
 def test_lemma22_helpers_refuse_non_finite_y(y):
     # inf raised OverflowError, and NaN failed converting to an integer
